@@ -73,8 +73,8 @@ void OnOptimisticValidated(bool ok);
 
 // ---- lock-manager hooks ---------------------------------------------------
 void OnLockBlockingRequest(const char* resource);  // Lock(wait=true) entry
-void OnLockWaitBegin(const char* resource);        // under lock-mgr mu_
-void OnLockWaitEnd();                              // under lock-mgr mu_
+void OnLockWaitBegin(const char* resource);        // under a lock-table mutex
+void OnLockWaitEnd();                              // under a lock-table mutex
 void OnLockGranted(const char* resource, uint64_t txn_id);
 void OnLockReleased(const char* resource, uint64_t txn_id);
 void BindTxnThread(uint64_t txn_id);   // best-effort txn -> thread edge

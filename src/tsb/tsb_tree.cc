@@ -898,7 +898,7 @@ Status TsbTree::TryGetOptimisticOnce(
   char* buf = OptimisticScratch();
   const std::string composite = CompositeKey(key, 0);
   // Current-level side hops crossed: possibly-unposted key splits. The
-  // move-lock probe (WouldConflict) blocks on the lock-manager mutex, so
+  // move-lock probe (WouldConflict) blocks on a lock-table mutex, so
   // hints are filtered and emitted only after the epoch section closes.
   std::vector<PageId> side_hops;
   Status result;

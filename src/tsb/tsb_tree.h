@@ -206,7 +206,7 @@ class TsbTree {
   /// along the history chain on validated copies (the latch-free mirror of
   /// DescendToLeaf + ReadVersionInChain). Completion hints are appended to
   /// `pending` only after the epoch section closes (the move-lock probe
-  /// blocks on the lock-manager mutex).
+  /// blocks on a lock-table mutex).
   Status TryGetOptimisticOnce(
       const Slice& key, TsbTime t, std::string* value,
       std::vector<std::pair<PageId, std::string>>* pending);

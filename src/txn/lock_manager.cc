@@ -46,6 +46,10 @@ LockMode LockModeSupremum(LockMode a, LockMode b) {
   return Rank(a) > Rank(b) ? a : b;
 }
 
+size_t LockManager::PartitionOf(const std::string& resource) {
+  return std::hash<std::string>{}(resource) % kPartitions;
+}
+
 // A queued (ungranted) fresh request is grantable when it is compatible with
 // every other transaction's *granted* lock and with every incompatible
 // request queued AHEAD of it. Blocking behind earlier waiters keeps the
@@ -60,7 +64,7 @@ LockMode LockModeSupremum(LockMode a, LockMode b) {
 // the scan at our own entry made that granted X invisible and handed an S
 // out alongside it (a lost-update hole: the S reader sees the pre-X image).
 // Only the fairness rule for ungranted requests is position-dependent.
-bool LockManager::Grantable(const Queue& q, TxnId txn, LockMode mode) const {
+bool LockManager::Grantable(const Queue& q, TxnId txn, LockMode mode) {
   bool ahead = true;  // still scanning entries queued before our request
   for (const auto& r : q) {
     if (r.txn == txn) {
@@ -76,7 +80,7 @@ bool LockManager::Grantable(const Queue& q, TxnId txn, LockMode mode) const {
 }
 
 bool LockManager::ConversionGrantable(const Queue& q, TxnId txn,
-                                      LockMode mode) const {
+                                      LockMode mode) {
   for (const auto& r : q) {
     if (r.txn == txn) continue;
     if (r.granted && !LockModesCompatible(r.mode, mode)) return false;
@@ -84,30 +88,51 @@ bool LockManager::ConversionGrantable(const Queue& q, TxnId txn,
   return true;
 }
 
-bool LockManager::WaitWouldDeadlock(TxnId waiter) const {
+// lint:tsa-escape -- locks every partition of parts_ in index order (a
+// loop over an array of capabilities, which the analysis cannot name) and
+// reads all of their tables; returns holding `held` alone, as it entered.
+bool LockManager::WaitWouldDeadlock(TxnId waiter, Partition& held)
+    NO_THREAD_SAFETY_ANALYSIS {
+  // Other threads hold at most one partition mutex at a time, and every
+  // all-partition holder acquires in index order, so this cannot deadlock.
+  // The waiter's request stays queued while `held` is dropped, so its
+  // queue cannot be erased under the caller.
+  held.mu.Unlock();
+  for (Partition& p : parts_) p.mu.Lock();
+
   // DFS over the waits-for graph. An edge T -> H exists when T waits on a
   // resource where H holds an incompatible granted lock, or where H's
   // incompatible request is queued ahead of T's (fair-queue blocking).
   std::unordered_set<TxnId> visited;
   std::vector<TxnId> stack = {waiter};
   bool first = true;
+  bool deadlock = false;
   while (!stack.empty()) {
     TxnId t = stack.back();
     stack.pop_back();
     if (!first) {
-      if (t == waiter) return true;
+      if (t == waiter) {
+        deadlock = true;
+        break;
+      }
       if (!visited.insert(t).second) continue;
     }
     first = false;
-    auto wit = waiting_on_.find(t);
-    if (wit == waiting_on_.end()) continue;
-    auto qit = table_.find(wit->second);
-    if (qit == table_.end()) continue;
+    // t waits in at most one partition.
+    const Queue* q = nullptr;
+    for (const Partition& p : parts_) {
+      auto wit = p.waiting_on.find(t);
+      if (wit == p.waiting_on.end()) continue;
+      auto qit = p.table.find(wit->second);
+      if (qit != p.table.end()) q = &qit->second;
+      break;
+    }
+    if (q == nullptr) continue;
     // Find t's ungranted request (mode + position).
     LockMode want = LockMode::kS;
     size_t pos = 0, idx = 0;
     bool found = false;
-    for (const auto& r : qit->second) {
+    for (const auto& r : *q) {
       if (r.txn == t && !r.granted) {
         want = r.mode;
         pos = idx;
@@ -118,7 +143,7 @@ bool LockManager::WaitWouldDeadlock(TxnId waiter) const {
     }
     if (!found) continue;
     idx = 0;
-    for (const auto& r : qit->second) {
+    for (const auto& r : *q) {
       bool blocks = false;
       if (r.txn != t && !LockModesCompatible(r.mode, want)) {
         blocks = r.granted || idx < pos;
@@ -127,7 +152,11 @@ bool LockManager::WaitWouldDeadlock(TxnId waiter) const {
       ++idx;
     }
   }
-  return false;
+
+  for (Partition& p : parts_) {
+    if (&p != &held) p.mu.Unlock();
+  }
+  return deadlock;
 }
 
 namespace {
@@ -150,153 +179,150 @@ void CheckGrantInvariant(const Q& q, const char* where) {
 }
 }  // namespace
 
+void LockManager::DropUngranted(Partition& p, const std::string& resource,
+                                TxnId txn) {
+  auto it = p.table.find(resource);
+  if (it == p.table.end()) return;
+  it->second.remove_if(
+      [&](const Request& r) { return r.txn == txn && !r.granted; });
+  if (it->second.empty()) p.table.erase(it);
+  WakeWaiters(p);
+}
+
 Status LockManager::Lock(Transaction* txn, const std::string& resource,
                          LockMode mode, bool wait) {
   // §4.1.2 No-Wait Rule, machine-checked: a request that is *allowed* to
   // block must not be made while holding any latch or engine mutex a lock
   // holder may need to make progress. wait=false requests are the sanctioned
-  // probe-and-restart path and are exempt. Checked before mu_ so a violation
-  // aborts with hold stacks instead of maybe deadlocking first.
+  // probe-and-restart path and are exempt. Checked before the partition
+  // mutex so a violation aborts with hold stacks instead of maybe
+  // deadlocking first.
   if (wait) analysis::OnLockBlockingRequest(resource.c_str());
-  MutexLock lk(&mu_);
+  Partition& p = parts_[PartitionOf(resource)];
+  MutexLock lk(&p.mu);
   // Best-effort txn->thread binding for the checker's lock wait edges.
   analysis::BindTxnThread(txn->id);
-  Queue& q = table_[resource];
+  Queue& q = p.table[resource];
 
-  auto drop_ungranted = [&] {
-    q.remove_if(
-        [&](const Request& r) { return r.txn == txn->id && !r.granted; });
-    if (q.empty()) table_.erase(resource);
-  };
-
-  // Conversion path: the txn already holds this resource in some mode.
+  // Conversion: the txn already holds this resource in some mode, and only
+  // granted locks can block it. A fresh request is enqueued first and also
+  // yields to incompatible requests queued ahead of it.
   auto held = txn->held_locks.find(resource);
-  if (held != txn->held_locks.end()) {
-    LockMode target = LockModeSupremum(held->second, mode);
-    if (target == held->second) return Status::OK();
-    if (!ConversionGrantable(q, txn->id, target)) {
-      if (!wait) return Status::Busy("lock conversion would block");
-      // Enqueue an ungranted request so deadlock detection can see this
-      // conversion wait (two S holders upgrading to X, or two IU holders
-      // upgrading to a move lock, form a cycle that must be broken).
-      q.push_back({txn->id, target, false});
-      waiting_on_[txn->id] = resource;
-      analysis::OnLockWaitBegin(resource.c_str());
-      while (!ConversionGrantable(q, txn->id, target)) {
-        if (WaitWouldDeadlock(txn->id)) {
-          analysis::OnLockWaitEnd();
-          waiting_on_.erase(txn->id);
-          drop_ungranted();
-          ++deadlocks_;
-          cv_.NotifyAll();
-          return Status::Deadlock("lock conversion on " + resource);
-        }
-        (void)cv_.WaitFor(mu_, std::chrono::milliseconds(20));
+  const bool conversion = held != txn->held_locks.end();
+  const LockMode target =
+      conversion ? LockModeSupremum(held->second, mode) : mode;
+  if (conversion && target == held->second) return Status::OK();
+  auto grantable = [&] {
+    return conversion ? ConversionGrantable(q, txn->id, target)
+                      : Grantable(q, txn->id, target);
+  };
+  if (!conversion) q.push_back({txn->id, target, false});
+
+  if (!grantable()) {
+    if (!wait) {
+      if (!conversion) DropUngranted(p, resource, txn->id);
+      return Status::Busy(conversion ? "lock conversion would block"
+                                     : "lock would block");
+    }
+    // A waiting conversion is queued too, so deadlock detection can see it
+    // (two S holders upgrading to X, or two IU holders upgrading to a move
+    // lock, form a cycle that must be broken).
+    if (conversion) q.push_back({txn->id, target, false});
+    p.waiting_on[txn->id] = resource;
+    ++p.waiters;
+    analysis::OnLockWaitBegin(resource.c_str());
+    bool victim = false;
+    while (!grantable()) {
+      if (WaitWouldDeadlock(txn->id, p)) {
+        victim = true;
+        break;
       }
-      analysis::OnLockWaitEnd();
-      waiting_on_.erase(txn->id);
+      // Detection dropped p.mu: a release in that window notified nobody,
+      // so test again before sleeping.
+      if (grantable()) break;
+      (void)p.cv.WaitFor(p.mu, std::chrono::milliseconds(20));
+    }
+    analysis::OnLockWaitEnd();
+    --p.waiters;
+    p.waiting_on.erase(txn->id);
+    if (victim) {
+      DropUngranted(p, resource, txn->id);
+      deadlocks_.fetch_add(1, std::memory_order_relaxed);
+      return Status::Deadlock(
+          (conversion ? "lock conversion on " : "lock wait on ") + resource);
+    }
+    if (conversion) {
       q.remove_if(
           [&](const Request& r) { return r.txn == txn->id && !r.granted; });
     }
-    for (auto& r : q) {
-      if (r.txn == txn->id && r.granted) {
-        r.mode = target;
-        break;
-      }
-    }
-    held->second = target;
-    ++grants_;
-    CheckGrantInvariant(q, "conversion");
-    cv_.NotifyAll();
-    return Status::OK();
   }
 
-  // Fresh request: enqueue, then test fair grantability.
-  q.push_back({txn->id, mode, false});
-  if (!Grantable(q, txn->id, mode)) {
-    if (!wait) {
-      drop_ungranted();
-      return Status::Busy("lock would block");
-    }
-    waiting_on_[txn->id] = resource;
-    analysis::OnLockWaitBegin(resource.c_str());
-    while (!Grantable(q, txn->id, mode)) {
-      if (WaitWouldDeadlock(txn->id)) {
-        analysis::OnLockWaitEnd();
-        waiting_on_.erase(txn->id);
-        drop_ungranted();
-        ++deadlocks_;
-        cv_.NotifyAll();
-        return Status::Deadlock("lock wait on " + resource);
-      }
-      (void)cv_.WaitFor(mu_, std::chrono::milliseconds(20));
-    }
-    analysis::OnLockWaitEnd();
-    waiting_on_.erase(txn->id);
-  }
+  // Grant: a conversion strengthens its granted entry, a fresh request
+  // marks its queued one.
   for (auto& r : q) {
-    if (r.txn == txn->id && !r.granted) {
+    if (r.txn == txn->id && r.granted == conversion) {
+      r.mode = target;
       r.granted = true;
       break;
     }
   }
-  txn->held_locks[resource] = mode;
-  ++grants_;
-  analysis::OnLockGranted(resource.c_str(), txn->id);
-  CheckGrantInvariant(q, "fresh");
-  cv_.NotifyAll();
+  if (conversion) {
+    held->second = target;
+  } else {
+    txn->held_locks.emplace(resource, target);
+    analysis::OnLockGranted(resource.c_str(), txn->id);
+  }
+  grants_.fetch_add(1, std::memory_order_relaxed);
+  CheckGrantInvariant(q, conversion ? "conversion" : "fresh");
+  WakeWaiters(p);
   return Status::OK();
 }
 
-void LockManager::Unlock(Transaction* txn, const std::string& resource) {
-  MutexLock lk(&mu_);
-  auto it = table_.find(resource);
-  if (it != table_.end()) {
+void LockManager::Release(Partition& p, const std::string& resource,
+                          TxnId txn) {
+  auto it = p.table.find(resource);
+  if (it != p.table.end()) {
     it->second.remove_if(
-        [&](const Request& r) { return r.txn == txn->id && r.granted; });
-    if (it->second.empty()) table_.erase(it);
+        [&](const Request& r) { return r.txn == txn && r.granted; });
+    if (it->second.empty()) p.table.erase(it);
+  }
+  analysis::OnLockReleased(resource.c_str(), txn);
+  WakeWaiters(p);
+}
+
+void LockManager::Unlock(Transaction* txn, const std::string& resource) {
+  Partition& p = parts_[PartitionOf(resource)];
+  {
+    MutexLock lk(&p.mu);
+    Release(p, resource, txn->id);
   }
   txn->held_locks.erase(resource);
-  analysis::OnLockReleased(resource.c_str(), txn->id);
-  cv_.NotifyAll();
 }
 
 void LockManager::ReleaseAll(Transaction* txn) {
-  MutexLock lk(&mu_);
+  // One partition at a time: strict 2PL needs every release after the
+  // commit point, not one atomic release.
   for (const auto& [resource, mode] : txn->held_locks) {
-    auto it = table_.find(resource);
-    if (it == table_.end()) continue;
-    it->second.remove_if(
-        [&](const Request& r) { return r.txn == txn->id && r.granted; });
-    if (it->second.empty()) table_.erase(it);
-    analysis::OnLockReleased(resource.c_str(), txn->id);
+    Partition& p = parts_[PartitionOf(resource)];
+    MutexLock lk(&p.mu);
+    Release(p, resource, txn->id);
   }
   txn->held_locks.clear();
   analysis::UnbindTxn(txn->id);
-  cv_.NotifyAll();
 }
 
 bool LockManager::WouldConflict(TxnId self, const std::string& resource,
                                 LockMode mode) const {
-  MutexLock lk(&mu_);
-  auto it = table_.find(resource);
-  if (it == table_.end()) return false;
+  const Partition& p = parts_[PartitionOf(resource)];
+  MutexLock lk(&p.mu);
+  auto it = p.table.find(resource);
+  if (it == p.table.end()) return false;
   for (const auto& r : it->second) {
     if (r.txn != self && r.granted && !LockModesCompatible(r.mode, mode)) {
       return true;
     }
   }
   return false;
-}
-
-uint64_t LockManager::deadlock_count() const {
-  MutexLock lk(&mu_);
-  return deadlocks_;
-}
-
-uint64_t LockManager::grant_count() const {
-  MutexLock lk(&mu_);
-  return grants_;
 }
 
 }  // namespace pitree

@@ -1,6 +1,9 @@
 #ifndef PITREE_TXN_LOCK_MANAGER_H_
 #define PITREE_TXN_LOCK_MANAGER_H_
 
+#include <array>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <string>
@@ -30,8 +33,18 @@ LockMode LockModeSupremum(LockMode a, LockMode b);
 /// Latches never enter this table (paper §4.1: "latches do not involve the
 /// database lock manager"); the No-Wait Rule is realized by callers using
 /// `wait=false` while they hold conflicting latches.
+///
+/// The table is split into kPartitions hash partitions (DESIGN.md §17).
+/// A resource lives in exactly one partition, so a grant or release takes
+/// one partition mutex and transactions on different resources rarely
+/// meet. Only a request that must wait looks across partitions: deadlock
+/// detection locks every partition in index order and searches the
+/// waits-for graph on that consistent view.
 class LockManager {
  public:
+  /// Number of hash partitions of the lock table.
+  static constexpr size_t kPartitions = 16;
+
   LockManager() = default;
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
@@ -57,12 +70,19 @@ class LockManager {
                      LockMode mode) const;
 
   /// Number of waits that ended in deadlock victimization (stats).
-  uint64_t deadlock_count() const;
+  uint64_t deadlock_count() const {
+    return deadlocks_.load(std::memory_order_relaxed);
+  }
 
   /// Number of grants (fresh acquisitions + strengthening conversions).
   /// The MVCC tests assert this stays flat across snapshot reads: a
   /// snapshot reader never touches the lock manager at all.
-  uint64_t grant_count() const;
+  uint64_t grant_count() const {
+    return grants_.load(std::memory_order_relaxed);
+  }
+
+  /// The partition `resource` hashes to (exposed for tests).
+  static size_t PartitionOf(const std::string& resource);
 
  private:
   struct Request {
@@ -72,19 +92,42 @@ class LockManager {
   };
   using Queue = std::list<Request>;
 
-  bool Grantable(const Queue& q, TxnId txn, LockMode mode) const
-      REQUIRES(mu_);
-  bool ConversionGrantable(const Queue& q, TxnId txn, LockMode mode) const
-      REQUIRES(mu_);
-  bool WaitWouldDeadlock(TxnId waiter) const REQUIRES(mu_);
+  /// One hash partition of the lock table. Cache-line aligned so partitions
+  /// taken by different threads do not share a line.
+  struct alignas(64) Partition {
+    mutable Mutex mu;
+    CondVar cv;
+    std::unordered_map<std::string, Queue> table GUARDED_BY(mu);
+    /// txn -> resource of this partition it is blocked on (one at a time).
+    std::unordered_map<TxnId, std::string> waiting_on GUARDED_BY(mu);
+    /// Threads parked on cv: grants and releases notify only when nonzero.
+    int waiters GUARDED_BY(mu) = 0;
+  };
 
-  mutable Mutex mu_;
-  CondVar cv_;
-  std::unordered_map<std::string, Queue> table_ GUARDED_BY(mu_);
-  // txn -> resource it is currently blocked on (one at a time per thread).
-  std::unordered_map<TxnId, std::string> waiting_on_ GUARDED_BY(mu_);
-  uint64_t deadlocks_ GUARDED_BY(mu_) = 0;
-  uint64_t grants_ GUARDED_BY(mu_) = 0;
+  static bool Grantable(const Queue& q, TxnId txn, LockMode mode);
+  static bool ConversionGrantable(const Queue& q, TxnId txn, LockMode mode);
+
+  /// Exact deadlock test for `waiter`, which is queued in `held` and holds
+  /// its mutex: drops it, locks every partition in index order, searches
+  /// the waits-for graph, and returns holding `held` alone again.
+  bool WaitWouldDeadlock(TxnId waiter, Partition& held) REQUIRES(held.mu);
+
+  /// Removes `txn`'s ungranted request on `resource` (dropping the queue
+  /// if it empties) and wakes the partition's waiters.
+  static void DropUngranted(Partition& p, const std::string& resource,
+                            TxnId txn) REQUIRES(p.mu);
+
+  /// Releases `txn`'s granted lock on `resource` and wakes the waiters.
+  static void Release(Partition& p, const std::string& resource, TxnId txn)
+      REQUIRES(p.mu);
+
+  static void WakeWaiters(Partition& p) REQUIRES(p.mu) {
+    if (p.waiters > 0) p.cv.NotifyAll();
+  }
+
+  std::array<Partition, kPartitions> parts_;
+  std::atomic<uint64_t> deadlocks_{0};
+  std::atomic<uint64_t> grants_{0};
 };
 
 }  // namespace pitree

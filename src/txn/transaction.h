@@ -33,8 +33,9 @@ enum class LockMode : uint8_t {
 /// chain, same rollback machinery, but they commit without forcing the log
 /// and release their locks at action end rather than at user-commit.
 ///
-/// Not thread-safe: a transaction is driven by one thread at a time; the
-/// TxnManager's table lock guards cross-thread visibility (checkpointing).
+/// Not thread-safe: a transaction is driven by one thread at a time. Only
+/// transactions that have logged their kBegin are visible to other threads
+/// (the checkpointer, through TxnManager's table and its mutex).
 /// Exception: `last_lsn`, `undo_next`, and `commit_appended` are read by
 /// the checkpointer's ATT snapshot while the owning thread appends log
 /// records, so they are atomics published *inside* the WAL append mutex
@@ -43,6 +44,12 @@ struct Transaction {
   TxnId id = kInvalidTxnId;
   bool is_system = false;
   TxnState state = TxnState::kRunning;
+
+  /// kBegin logged yet? Written and read only by the owning thread; set by
+  /// TxnManager::EnsureBegun in the same critical section that enters the
+  /// transaction into the ATT table. A transaction that never logs (a
+  /// read-only one) never enters that table.
+  bool logged = false;
 
   /// LSN of this transaction's kBegin record (0 until logged). Checkpoints
   /// snapshot it into the ATT: the WAL truncation floor must stay at or

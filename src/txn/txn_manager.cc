@@ -7,43 +7,34 @@
 namespace pitree {
 
 Transaction* TxnManager::Begin(bool is_system) {
-  auto txn = std::make_unique<Transaction>();
-  txn->id = next_id_.fetch_add(1);
+  auto* txn = new Transaction;
+  txn->id = next_id_.fetch_add(1, std::memory_order_relaxed);
   txn->is_system = is_system;
-  Transaction* raw = txn.get();
-  MutexLock lk(&mu_);
-  begun_[raw->id] = false;
-  active_[raw->id] = std::move(txn);
-  return raw;
+  return txn;
 }
 
 Status TxnManager::EnsureBegun(Transaction* txn) {
-  // The kBegin append happens inside the table-mutex critical section (the
-  // WAL append mutex is the leaf of the latch order, so taking it under mu_
-  // is legal and cheap — Append stages bytes in memory, no I/O). This makes
-  // "begun" and first_lsn atomic with respect to SnapshotAtt: a checkpoint
-  // either sees the transaction with its kBegin LSN, or doesn't see it at
-  // all — in which case its kBegin will land after the checkpoint's begin
-  // record, above any truncation floor the checkpoint derives.
+  if (txn->logged) return Status::OK();
+  // The kBegin append and the entry into the ATT table happen in one
+  // table-mutex critical section (the WAL append mutex is the leaf of the
+  // latch order, so taking it under mu_ is legal and cheap — Append stages
+  // bytes in memory, no I/O). A checkpoint's SnapshotAtt therefore either
+  // sees the transaction with its kBegin LSN, or doesn't see it at all — in
+  // which case its kBegin will land after the checkpoint's begin record,
+  // above any truncation floor the checkpoint derives.
   MutexLock lk(&mu_);
-  auto it = begun_.find(txn->id);
-  if (it == begun_.end() || it->second) return Status::OK();
   Lsn lsn;
   PITREE_RETURN_IF_ERROR(wal_->Append(MakeBegin(txn->id, txn->is_system),
                                       &lsn));
-  it->second = true;
+  txn->logged = true;
   txn->first_lsn = lsn;
+  active_.emplace(txn->id, std::unique_ptr<Transaction>(txn));
   return Status::OK();
 }
 
 Status TxnManager::Commit(Transaction* txn) {
   assert(txn->state == TxnState::kRunning);
-  bool logged;
-  {
-    MutexLock lk(&mu_);
-    logged = begun_[txn->id];
-  }
-  if (logged) {
+  if (txn->logged) {
     Lsn lsn;
     Timestamp cts = 0;
     {
@@ -96,13 +87,13 @@ Status TxnManager::Commit(Transaction* txn) {
 Status TxnManager::Abort(Transaction* txn) {
   assert(txn->state == TxnState::kRunning ||
          txn->state == TxnState::kAborting);
-  bool logged;
-  {
-    MutexLock lk(&mu_);
-    logged = begun_[txn->id];
-  }
-  txn->state = TxnState::kAborting;
-  if (logged) {
+  if (txn->logged) {
+    {
+      // The transaction is in the ATT table, and SnapshotAtt reads `state`
+      // (the entry's aborting flag) under mu_.
+      MutexLock lk(&mu_);
+      txn->state = TxnState::kAborting;
+    }
     Lsn lsn;
     WalManager::AppendPublish pub;  // see WalManager::AppendPublish
     pub.last_lsn = &txn->last_lsn;
@@ -135,9 +126,9 @@ Transaction* TxnManager::AdoptLoser(TxnId id, bool is_system, Lsn last_lsn,
   txn->first_lsn = first_lsn;
   txn->last_lsn = last_lsn;
   txn->undo_next = undo_next;
+  txn->logged = true;
   Transaction* raw = txn.get();
   MutexLock lk(&mu_);
-  begun_[id] = true;
   active_[id] = std::move(txn);
   return raw;
 }
@@ -145,10 +136,18 @@ Transaction* TxnManager::AdoptLoser(TxnId id, bool is_system, Lsn last_lsn,
 void TxnManager::Discard(Transaction* txn) {
   // Every transaction-destruction path funnels through here (commit, abort,
   // recovery losers, atomic-action error paths), so this is the one place
-  // the oracle's writer registration is guaranteed to be dropped.
-  if (oracle_ != nullptr) oracle_->DeregisterWriter(txn->id);
+  // the oracle's writer registration is guaranteed to be dropped. Only a
+  // transaction that wrote a version registered (mvcc_write_ts != 0), and
+  // only one that logged is in the table: a read-only transaction ends
+  // without touching either mutex.
+  if (oracle_ != nullptr && txn->mvcc_write_ts != 0) {
+    oracle_->DeregisterWriter(txn->id);
+  }
+  if (!txn->logged) {
+    delete txn;
+    return;
+  }
   MutexLock lk(&mu_);
-  begun_.erase(txn->id);
   active_.erase(txn->id);  // destroys *txn
 }
 
@@ -162,8 +161,6 @@ std::vector<AttEntry> TxnManager::SnapshotAtt() const {
   MutexLock lk(&mu_);
   std::vector<AttEntry> att;
   for (const auto& [id, txn] : active_) {
-    auto bit = begun_.find(id);
-    if (bit == begun_.end() || !bit->second) continue;  // nothing logged
     // A commit record already in the log ends the transaction for
     // recovery's purposes — see Transaction::commit_appended.
     if (txn->commit_appended) continue;
@@ -171,11 +168,6 @@ std::vector<AttEntry> TxnManager::SnapshotAtt() const {
                    txn->state == TxnState::kAborting, txn->first_lsn});
   }
   return att;
-}
-
-size_t TxnManager::active_count() const {
-  MutexLock lk(&mu_);
-  return active_.size();
 }
 
 }  // namespace pitree

@@ -63,10 +63,14 @@ class TxnManager {
 
   /// Starts a user transaction (is_system=false) or an atomic action
   /// (is_system=true). The kBegin record is logged lazily on first update,
-  /// so read-only work writes nothing.
+  /// so read-only work writes nothing. Takes no mutex: the transaction is
+  /// owned by its caller until it logs (see EnsureBegun) and is destroyed
+  /// by Commit/Abort.
   Transaction* Begin(bool is_system = false);
 
-  /// Logs the kBegin record if not yet logged. Called by LogAndApply.
+  /// Logs the kBegin record if not yet logged, and enters the transaction
+  /// into the ATT table in the same critical section. Called by
+  /// LogAndApply.
   Status EnsureBegun(Transaction* txn);
 
   /// Commits: logs kCommit; forces the log for user transactions; releases
@@ -95,8 +99,6 @@ class TxnManager {
   /// ATT snapshot for fuzzy checkpoints.
   std::vector<AttEntry> SnapshotAtt() const;
 
-  size_t active_count() const;
-
  private:
   WalManager* const wal_;
   LockManager* const locks_;
@@ -108,10 +110,11 @@ class TxnManager {
   Mutex commit_order_mu_;
 
   mutable Mutex mu_;
+  /// The ATT table: every transaction that has logged its kBegin and not
+  /// yet ended, owning it. Transactions that have logged nothing live
+  /// outside it, owned by their caller.
   std::unordered_map<TxnId, std::unique_ptr<Transaction>> active_
       GUARDED_BY(mu_);
-  /// kBegin logged yet?
-  std::unordered_map<TxnId, bool> begun_ GUARDED_BY(mu_);
   std::atomic<TxnId> next_id_{1};
 };
 

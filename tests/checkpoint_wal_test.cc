@@ -19,6 +19,7 @@
 #include "db/database.h"
 #include "env/fault_plan.h"
 #include "env/sim_env.h"
+#include "harness/abandon.h"
 #include "recovery/checkpoint.h"
 #include "wal/log_reader.h"
 #include "wal/log_record.h"
@@ -253,7 +254,7 @@ TEST(MasterRecordTest, CorruptMasterFallsBackToFullScanRecovery) {
     }
     ASSERT_TRUE(db->context()->wal->FlushAll().ok());
     env.Crash();
-    (void)db.release();  // crashed: no clean shutdown
+    harness::AbandonDatabase(db);  // crashed: no clean shutdown
   }
 
   // Regression for the "any 8 bytes will do" bug: a plausible-length but
@@ -297,7 +298,7 @@ TEST(MasterRecordTest, MasterReadFaultFallsBackToFullScanRecovery) {
     ASSERT_TRUE(db->Checkpoint().ok());
     ASSERT_TRUE(db->context()->wal->FlushAll().ok());
     env.Crash();
-    (void)db.release();
+    harness::AbandonDatabase(db);
   }
 
   // Every read of the master file fails; WAL and data reads are untouched.
@@ -419,7 +420,7 @@ TEST(ContinuousCheckpointTest, BoundsWalFootprintAndSurvivesCrash) {
     db->StopCheckpointer();
     ASSERT_TRUE(db->context()->wal->FlushAll().ok());
     env.Crash();
-    (void)db.release();  // crashed: no clean shutdown
+    harness::AbandonDatabase(db);  // crashed: no clean shutdown
   }
 
   // Recovery from the truncated log: analysis starts from the continuous

@@ -21,6 +21,7 @@
 #include "db/database.h"
 #include "env/fault_plan.h"
 #include "env/sim_env.h"
+#include "harness/abandon.h"
 #include "harness/fault_harness.h"
 #include "maintenance/maintenance_service.h"
 
@@ -381,10 +382,9 @@ TEST(FaultInjectionTest, TornWalTailAfterFailedSyncRecoversValidPrefix) {
     // the rest of it as garbage.
     plan.TearOnNextCrash(".wal", 5, /*garbage_tail=*/true);
     env.Crash();
-    // Leak the handle: after Crash() the destructor's flushing would write
-    // post-crash state into the simulated disk (same pattern as
-    // recovery_test.cc).
-    (void)db.release();
+    // Abandon the handle: after Crash() the destructor's flushing would
+    // write post-crash state into the simulated disk.
+    harness::AbandonDatabase(db);
   }
 
   Options ropts;  // no fault plan: the replacement device is healthy

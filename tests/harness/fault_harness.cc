@@ -562,7 +562,7 @@ namespace {
     threads.emplace_back([&] {
       const std::string value(110, 'o');
       for (int i = 0; i < kOnlineKeys; ++i) {
-        char buf[16];
+        char buf[32];
         std::snprintf(buf, sizeof(buf), "online%05d", i);
         bool done = false;
         for (int attempt = 0; attempt < 100 && !done; ++attempt) {
@@ -613,7 +613,7 @@ namespace {
     // Commits made during recovery survived the drain.
     Transaction* txn = db->Begin();
     for (int i = 0; i < kOnlineKeys; ++i) {
-      char buf[16];
+      char buf[32];
       std::snprintf(buf, sizeof(buf), "online%05d", i);
       std::string v;
       Status g = tree->Get(txn, buf, &v);

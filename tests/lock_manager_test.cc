@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <chrono>
+#include <set>
+#include <string>
 #include <thread>
+#include <vector>
+
+#include "common/random.h"
 
 #include "txn/lock_manager.h"
 #include "txn/transaction.h"
@@ -248,6 +254,163 @@ TEST(LockManagerTest, ConvertedXStaysVisibleToSleepingSWaiter) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(value, kThreads * kCommitsPerThread);
+}
+
+// Three resources of one cycle test; `name` keeps each round's triple
+// distinct. Returns how many distinct partitions the triple spans.
+size_t MakeTriple(const std::string& name, int round, std::string r[3]) {
+  std::set<size_t> parts;
+  for (int k = 0; k < 3; ++k) {
+    r[k] = name + std::to_string(round) + "-" + std::to_string(k);
+    parts.insert(LockManager::PartitionOf(r[k]));
+  }
+  return parts.size();
+}
+
+// Runs one 3-transaction cycle per round: transaction k first holds
+// `first(k)` (all three, behind a barrier), then requests `second(k)` in X,
+// which waits on transaction k+1. Exactly one request per round must be
+// chosen as the Deadlock victim; the victim releases and the other two
+// then complete in turn. Resources are hashed to partitions, so most
+// rounds' cycles span two or three partitions.
+template <typename Hold, typename Request>
+void RunThreeWayCycles(const std::string& name, Hold hold, Request request) {
+  constexpr int kRounds = 48;
+  LockManager lm;
+  int spans[4] = {0, 0, 0, 0};
+  for (int round = 0; round < kRounds; ++round) {
+    std::string r[3];
+    ++spans[MakeTriple(name, round, r)];
+    const uint64_t deadlocks_before = lm.deadlock_count();
+    std::atomic<int> victims{0};
+    std::barrier all_hold(3);
+    std::vector<std::thread> threads;
+    for (int k = 0; k < 3; ++k) {
+      threads.emplace_back([&, k] {
+        Transaction txn = MakeTxn(100 * (round + 1) + k);
+        hold(lm, txn, r, k);
+        all_hold.arrive_and_wait();
+        Status s = request(lm, txn, r, k);
+        if (s.IsDeadlock()) {
+          victims.fetch_add(1);
+        } else {
+          EXPECT_TRUE(s.ok()) << s.ToString();
+        }
+        lm.ReleaseAll(&txn);
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(victims.load(), 1) << "round " << round;
+    EXPECT_EQ(lm.deadlock_count() - deadlocks_before, 1u) << "round " << round;
+  }
+  // The hash must have spread the triples: the cross-partition cases are
+  // the ones the all-partition detector exists for.
+  EXPECT_GT(spans[2] + spans[3], kRounds / 2);
+  EXPECT_GT(spans[3], 0);
+}
+
+TEST(LockManagerTest, FreshLockCyclesAcrossPartitionsHaveOneVictim) {
+  RunThreeWayCycles(
+      "fresh",
+      [](LockManager& lm, Transaction& txn, std::string r[3], int k) {
+        ASSERT_TRUE(lm.Lock(&txn, r[k], LockMode::kX).ok());
+      },
+      [](LockManager& lm, Transaction& txn, std::string r[3], int k) {
+        return lm.Lock(&txn, r[(k + 1) % 3], LockMode::kX);
+      });
+}
+
+TEST(LockManagerTest, ConversionCyclesAcrossPartitionsHaveOneVictim) {
+  // Transaction k shares r[k] and r[k+1]; converting r[k+1] to X waits for
+  // transaction k+1's S on it.
+  RunThreeWayCycles(
+      "convert",
+      [](LockManager& lm, Transaction& txn, std::string r[3], int k) {
+        ASSERT_TRUE(lm.Lock(&txn, r[k], LockMode::kS).ok());
+        ASSERT_TRUE(lm.Lock(&txn, r[(k + 1) % 3], LockMode::kS).ok());
+      },
+      [](LockManager& lm, Transaction& txn, std::string r[3], int k) {
+        return lm.Lock(&txn, r[(k + 1) % 3], LockMode::kX);
+      });
+}
+
+// Four threads lock random subsets of a small resource set in random order
+// and modes, with waiting; deadlock victims release everything and retry.
+// Holders are mirrored in per-resource counters that a grant must find
+// compatible (no X beside any other holder), and grant_count() must equal
+// the grants the threads observed, conversions included.
+TEST(LockManagerTest, ConcurrentLockReleaseStressKeepsGrantInvariant) {
+  constexpr int kThreads = 4;
+  constexpr int kTxnsPerThread = 300;
+  constexpr int kResources = 12;
+  LockManager lm;
+  std::atomic<int> readers[kResources] = {};
+  std::atomic<int> writers[kResources] = {};
+  std::atomic<uint64_t> grants{0};
+  std::atomic<int> violations{0};
+  std::atomic<int> victims{0};
+  std::atomic<TxnId> next_id{1};
+  const uint64_t seed = TestSeed(0x10c4);
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Random rnd(seed + t);
+      for (int n = 0; n < kTxnsPerThread; ++n) {
+        Transaction txn = MakeTxn(next_id.fetch_add(1));
+        std::map<int, LockMode> mine;  // resource index -> mirrored mode
+        const int locks = 1 + static_cast<int>(rnd.Uniform(3));
+        bool victim = false;
+        for (int i = 0; i < locks && !victim; ++i) {
+          const int res = static_cast<int>(rnd.Uniform(kResources));
+          const LockMode want =
+              rnd.Uniform(3) == 0 ? LockMode::kX : LockMode::kS;
+          auto held = mine.find(res);
+          if (held != mine.end() &&
+              LockModeSupremum(held->second, want) == held->second) {
+            continue;  // already covered: a no-op, not a grant
+          }
+          Status s = lm.Lock(&txn, "stress" + std::to_string(res), want);
+          if (s.IsDeadlock()) {
+            victim = true;
+            break;
+          }
+          ASSERT_TRUE(s.ok()) << s.ToString();
+          grants.fetch_add(1);
+          if (held != mine.end()) readers[res].fetch_sub(1);  // S -> X
+          if (want == LockMode::kX) {
+            if (writers[res].fetch_add(1) != 0 || readers[res].load() != 0) {
+              violations.fetch_add(1);
+            }
+          } else if (readers[res].fetch_add(1) < 0 ||
+                     writers[res].load() != 0) {
+            violations.fetch_add(1);
+          }
+          mine[res] = want;
+          std::this_thread::yield();  // hold a while: invite conflicts
+        }
+        if (victim) victims.fetch_add(1);
+        // Unmirror before releasing, so a later grant never counts us.
+        for (const auto& [res, mode] : mine) {
+          (mode == LockMode::kX ? writers : readers)[res].fetch_sub(1);
+        }
+        lm.ReleaseAll(&txn);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_EQ(lm.grant_count(), grants.load());
+  EXPECT_EQ(lm.deadlock_count(), static_cast<uint64_t>(victims.load()));
+  // Everything was released: a fresh transaction takes any resource in X
+  // without waiting.
+  Transaction last = MakeTxn(next_id.fetch_add(1));
+  for (int r = 0; r < kResources; ++r) {
+    EXPECT_TRUE(
+        lm.Lock(&last, "stress" + std::to_string(r), LockMode::kX, false)
+            .ok());
+  }
+  lm.ReleaseAll(&last);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "engine/page_alloc.h"
 #include "env/sim_env.h"
 #include "engine/log_apply.h"
+#include "harness/abandon.h"
 #include "mdtree/md_tree.h"
 #include "txn/txn_manager.h"
 
@@ -279,7 +280,7 @@ TEST_F(MdTreeTest, SurvivesCrashAndRecovery) {
     if (InsertOne(x, y, value).ok()) model.insert({x, y});
   }
   env_.Crash();
-  db_.release();
+  harness::AbandonDatabase(db_);
   tree_.reset();
 
   Options opts;

@@ -11,6 +11,7 @@
 #include "analysis/latch_checker.h"
 #include "db/database.h"
 #include "env/sim_env.h"
+#include "harness/abandon.h"
 
 namespace pitree {
 namespace {
@@ -349,7 +350,7 @@ TEST(MvccRecoveryTest, SnapshotVisibilitySurvivesCrash) {
     ASSERT_TRUE(tree->Put(loser, "loser", "x").ok());
     ASSERT_TRUE(db->context()->wal->FlushAll().ok());
     env.Crash();
-    db.release();  // abandoned, as a crash would abandon it
+    harness::AbandonDatabase(db);  // abandoned, as a crash would abandon it
   }
 
   RecoveryStats stats;
@@ -404,7 +405,7 @@ TEST(MvccRecoveryTest, CheckpointCarriesOracleHighWater) {
     ASSERT_TRUE(db->Checkpoint().ok());
     ASSERT_TRUE(db->context()->wal->FlushAll().ok());
     env.Crash();
-    db.release();
+    harness::AbandonDatabase(db);
   }
 
   RecoveryStats stats;

@@ -18,6 +18,7 @@
 #include "common/random.h"
 #include "db/database.h"
 #include "env/sim_env.h"
+#include "harness/abandon.h"
 
 namespace pitree {
 namespace {
@@ -56,9 +57,9 @@ void BuildCrashImage(SimEnv* env) {
   ASSERT_TRUE(tree->Insert(loser, "loser-key", value).ok());
   ASSERT_TRUE(db->context()->wal->FlushAll().ok());
   env->Crash();
-  // Leak: post-crash destructor flushing would write post-crash state into
-  // the simulated disk (same pattern as recovery_test.cc).
-  (void)db.release();
+  // Abandon: post-crash destructor flushing would write post-crash state
+  // into the simulated disk.
+  harness::AbandonDatabase(db);
 }
 
 // After BuildCrashImage: keys 0,3,6,...,57 were committed-deleted, the rest
@@ -183,7 +184,7 @@ TEST(RecoveryConcurrencyTest, CheckpointDuringRecoverySecondCrashRecovers) {
     ASSERT_TRUE(db->Checkpoint().ok());
 
     env.Crash();
-    (void)db.release();
+    harness::AbandonDatabase(db);
   }
 
   // Second recovery (offline this time) from the mid-recovery checkpoint.

@@ -23,6 +23,7 @@
 #include "common/coding.h"
 #include "db/database.h"
 #include "env/sim_env.h"
+#include "harness/abandon.h"
 #include "recovery/checkpoint.h"
 #include "wal/log_reader.h"
 #include "wal/wal_segments.h"
@@ -110,8 +111,7 @@ TEST_P(CrashTortureTest, EveryLogPrefixRecoversToConsistentState) {
     ASSERT_TRUE(wal->FlushAll().ok());
     env.Crash();
     // `loser` and `db` are abandoned, as a crash would abandon them.
-    db.release();  // intentionally leak: its threads are stopped; memory
-                   // freed at process exit (destructor would try to log)
+    harness::AbandonDatabase(db);  // its destructor would try to log
   }
 
   // ---- Phase 2: enumerate record boundaries of the captured log. The
@@ -237,7 +237,7 @@ TEST_F(RecoveryTest, CommittedTransactionSurvivesCrashWithoutPageFlush) {
     ASSERT_TRUE(tree->Insert(txn, "durable", "yes").ok());
     ASSERT_TRUE(db->Commit(txn).ok());  // forces the WAL, not the pages
     env_.Crash();
-    db.release();
+    harness::AbandonDatabase(db);
   }
   std::unique_ptr<Database> db;
   RecoveryStats stats;
@@ -266,7 +266,7 @@ TEST_F(RecoveryTest, UncommittedTransactionRolledBackOnRecovery) {
     // Force the loser's records into the durable log WITHOUT a commit.
     ASSERT_TRUE(db->context()->wal->FlushAll().ok());
     env_.Crash();
-    db.release();
+    harness::AbandonDatabase(db);
   }
   RecoveryStats stats;
   std::unique_ptr<Database> db;
@@ -310,7 +310,7 @@ TEST_F(RecoveryTest, CommitFailsOnWalSyncFaultAndIsAbsentAfterCrash) {
     EXPECT_GE(db->wal_stats().sync_failures, 1u);
 
     env_.Crash();
-    db.release();  // intentionally leak, as in the other crash tests
+    harness::AbandonDatabase(db);
   }
   plan.ClearErrorRules();
   RecoveryStats stats;
@@ -346,7 +346,7 @@ TEST_F(RecoveryTest, EvictionsDuringWorkloadStillRecoverExactly) {
       model[Key(i)] = value;
     }
     env_.Crash();
-    db.release();
+    harness::AbandonDatabase(db);
   }
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(opts, &env_, "db", &db).ok());
@@ -387,7 +387,7 @@ TEST_F(RecoveryTest, CheckpointShortensAnalysis) {
     }
     full_log_end = db->context()->wal->next_lsn();
     env_.Crash();
-    db.release();
+    harness::AbandonDatabase(db);
   }
   RecoveryStats stats;
   std::unique_ptr<Database> db;
@@ -420,7 +420,7 @@ TEST_F(RecoveryTest, DoubleCrashDuringRecoveryIsIdempotent) {
     }
     ASSERT_TRUE(db->context()->wal->FlushAll().ok());
     env_.Crash();
-    db.release();
+    harness::AbandonDatabase(db);
   }
   for (int round = 0; round < 3; ++round) {
     std::unique_ptr<Database> db;
@@ -436,7 +436,7 @@ TEST_F(RecoveryTest, DoubleCrashDuringRecoveryIsIdempotent) {
     // Flush the recovery's own log work, then crash again.
     ASSERT_TRUE(db->context()->wal->FlushAll().ok());
     env_.Crash();
-    db.release();
+    harness::AbandonDatabase(db);
   }
 }
 
@@ -459,7 +459,7 @@ TEST_F(RecoveryTest, AtomicActionLoserCountsAreReported) {
       ASSERT_TRUE(db->Commit(txn).ok());
     }
     env_.Crash();
-    db.release();
+    harness::AbandonDatabase(db);
   }
   RecoveryStats stats;
   std::unique_ptr<Database> db;
@@ -497,7 +497,7 @@ TEST_F(RecoveryTest, LazyRedoIsIdempotentAndMatchesOffline) {
     ASSERT_TRUE(tree->Insert(loser, "loser-key", value).ok());
     ASSERT_TRUE(db->context()->wal->FlushAll().ok());
     env_.Crash();
-    db.release();
+    harness::AbandonDatabase(db);
   }
 
   // Clone the crash image so the offline and instant recoveries each work
@@ -648,7 +648,7 @@ TEST_F(RecoveryTest, CheckpointRecLsnSurvivesInWindowUpdate) {
     ASSERT_TRUE(
         env_.WriteFileAtomic("db.master", EncodeMasterRecord(begin_lsn)).ok());
     env_.Crash();
-    db.release();
+    harness::AbandonDatabase(db);
   }
   RecoveryStats stats;
   std::unique_ptr<Database> db;
@@ -690,7 +690,7 @@ TEST_F(RecoveryTest, SweeperBacksOffOnPersistentReadFaults) {
       ASSERT_TRUE(db->Commit(txn).ok());
     }
     env_.Crash();
-    db.release();
+    harness::AbandonDatabase(db);
   }
   Options iopts = opts;
   iopts.instant_restore = true;

@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "db/database.h"
 #include "env/sim_env.h"
+#include "harness/abandon.h"
 
 namespace pitree {
 namespace {
@@ -288,7 +289,7 @@ TEST_F(TsbTreeTest, SurvivesCrashAndRecovery) {
       ASSERT_TRUE(PutOne(Key(i), "updated", tree_->Now()).ok());
     }
     env_.Crash();
-    db_.release();  // abandoned, as a crash would
+    harness::AbandonDatabase(db_);  // abandoned, as a crash would
   }
   std::unique_ptr<Database> db2;
   Options opts;
