@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <map>
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
@@ -82,7 +83,9 @@ Status RecoveryManager::RunAnalysis(RecoveryStats* stats) {
   // analysis scan sees qualifies for redo (its page's final recLSN is <=
   // its LSN by construction), and records before the checkpoint are
   // gathered by a second partial scan below once the DPT is complete.
-  std::unordered_map<PageId, std::vector<Lsn>> post_ckpt;
+  // Each record keeps its end so replay can fetch neighbours in one read.
+  std::unordered_map<PageId, std::vector<RecoveryMap::RecordExtent>>
+      post_ckpt;
 
   {
     LogRecord rec;
@@ -139,7 +142,7 @@ Status RecoveryManager::RunAnalysis(RecoveryStats* stats) {
           t.last_lsn = rec.lsn;
           t.undo_next = rec.lsn;
           dpt.try_emplace(rec.page_id, rec.lsn);
-          post_ckpt[rec.page_id].push_back(rec.lsn);
+          post_ckpt[rec.page_id].push_back({rec.lsn, rec.next_lsn});
           break;
         }
         case LogRecordType::kClr: {
@@ -147,7 +150,7 @@ Status RecoveryManager::RunAnalysis(RecoveryStats* stats) {
           t.last_lsn = rec.lsn;
           t.undo_next = rec.undo_next;
           dpt.try_emplace(rec.page_id, rec.lsn);
-          post_ckpt[rec.page_id].push_back(rec.lsn);
+          post_ckpt[rec.page_id].push_back({rec.lsn, rec.next_lsn});
           break;
         }
         case LogRecordType::kCommit:
@@ -187,7 +190,8 @@ Status RecoveryManager::RunAnalysis(RecoveryStats* stats) {
     // started from; a second partial scan gathers the ones the checkpoint
     // DPT still holds redo obligations for. (redo_start is always a frame
     // boundary: recLSNs come from WalManager::next_lsn.)
-    std::unordered_map<PageId, std::vector<Lsn>> pre_ckpt;
+    std::unordered_map<PageId, std::vector<RecoveryMap::RecordExtent>>
+        pre_ckpt;
     if (redo_start < scan_start) {
       LogRecord rec;
       LogReader scanner = ctx_->wal->MakeDurableScanner(redo_start);
@@ -198,13 +202,13 @@ Status RecoveryManager::RunAnalysis(RecoveryStats* stats) {
             rec.type == LogRecordType::kClr) {
           auto it = dpt.find(rec.page_id);
           if (it != dpt.end() && rec.lsn >= it->second) {
-            pre_ckpt[rec.page_id].push_back(rec.lsn);
+            pre_ckpt[rec.page_id].push_back({rec.lsn, rec.next_lsn});
           }
         }
       }
       PITREE_RETURN_IF_ERROR(CheckScanEnd(scan));
     }
-    std::unordered_map<PageId, RecoveryMap::PendingPage> pending;
+    std::map<PageId, RecoveryMap::PendingPage> pending;
     for (const auto& [page, rec_lsn] : dpt) {
       RecoveryMap::PendingPage entry;
       entry.rec_lsn = rec_lsn;

@@ -4,12 +4,31 @@
 
 #include "engine/page_apply.h"
 #include "storage/page.h"
+#include "wal/log_reader.h"
 #include "wal/log_record.h"
 #include "wal/wal_manager.h"
 
 namespace pitree {
 
-void RecoveryMap::Install(std::unordered_map<PageId, PendingPage> pending) {
+namespace {
+
+/// One past the last record of the run that starts at `records[first]`:
+/// the longest stretch whose extent fits one slab. A record bigger than
+/// the slab is a run of its own.
+size_t RunEnd(const std::vector<RecoveryMap::RecordExtent>& records,
+              size_t first) {
+  const Lsn start = records[first].lsn;
+  size_t last = first + 1;
+  while (last < records.size() &&
+         records[last].end - start <= WalManager::kScanReadAhead) {
+    ++last;
+  }
+  return last;
+}
+
+}  // namespace
+
+void RecoveryMap::Install(std::map<PageId, PendingPage> pending) {
   uint64_t records = 0;
   for (auto it = pending.begin(); it != pending.end();) {
     if (it->second.records.empty()) {
@@ -42,14 +61,25 @@ Status RecoveryMap::ReplayOnto(PageId id, char* page, bool* had_entry,
   }
   *had_entry = true;
   // WAL reads below run with no mutex held; the records live in the
-  // immutable durable prefix (or the append buffer), and the pool's frame
-  // claim keeps other fetchers of this page parked meanwhile.
+  // immutable durable prefix, and the pool's frame claim keeps other
+  // fetchers of this page parked meanwhile. The reader's limit makes each
+  // run one read that stops at the run's last record; the frames inside it
+  // then parse from the slab.
+  const std::vector<RecordExtent>& records = entry.records;
+  LogReader reader = wal_->MakeDurableScanner(records.front().lsn);
   uint64_t n = 0;
-  for (Lsn lsn : entry.records) {
+  size_t run_end = 0;
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (i == run_end) {
+      run_end = RunEnd(records, i);
+      reader.set_limit(records[run_end - 1].end);
+    }
     LogRecord rec;
-    PITREE_RETURN_IF_ERROR(wal_->ReadRecord(lsn, &rec));
-    if (rec.page_id != id || (rec.type != LogRecordType::kUpdate &&
-                              rec.type != LogRecordType::kClr)) {
+    reader.Seek(records[i].lsn);
+    PITREE_RETURN_IF_ERROR(reader.ReadNext(&rec));
+    if (rec.next_lsn != records[i].end || rec.page_id != id ||
+        (rec.type != LogRecordType::kUpdate &&
+         rec.type != LogRecordType::kClr)) {
       return Status::Corruption("recovery map entry does not match log");
     }
     // State-identifier test (§5.2): the page LSN says which prefix of its
@@ -95,17 +125,10 @@ bool RecoveryMap::HasPending(PageId id) const {
 bool RecoveryMap::FirstPendingAtLeast(PageId floor, PageId* out) const {
   if (pending_count_.load(std::memory_order_relaxed) == 0) return false;
   MutexLock lk(&mu_);
-  bool found = false;
-  PageId best = kInvalidPageId;
-  for (const auto& [page, entry] : pending_) {
-    (void)entry;
-    if (page >= floor && (!found || page < best)) {
-      best = page;
-      found = true;
-    }
-  }
-  if (found) *out = best;
-  return found;
+  auto it = pending_.lower_bound(floor);
+  if (it == pending_.end()) return false;
+  *out = it->first;
+  return true;
 }
 
 std::vector<std::pair<PageId, Lsn>> RecoveryMap::PendingDpt() const {

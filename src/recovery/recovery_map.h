@@ -3,7 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -29,6 +29,11 @@ class WalManager;
 ///    mutex guards only map lookups — never held across WAL reads or page
 ///    application. Per-page mutual exclusion comes from the pool's
 ///    io_in_progress frame claim: at most one fetcher materializes a page.
+///  - Every indexed record lies below the durable horizon fixed at Open and
+///    at or above its page's recLSN, which the checkpoint-derived
+///    truncation floor never passes while the page is pending. So replay
+///    reads only immutable bytes that still exist, through the slab reader
+///    (WalManager::MakeDurableScanner), with no append mutex.
 ///  - MarkReplayed()/DiscardPending() may be called under a pool shard
 ///    mutex (rank kPoolShard); nothing is acquired under the map mutex, so
 ///    the order kPoolShard -> map mutex is acyclic.
@@ -38,14 +43,20 @@ class WalManager;
 ///    again onto whatever image survived.
 class RecoveryMap {
  public:
+  /// Where one redo record sits in the log: its frame is [lsn, end).
+  struct RecordExtent {
+    Lsn lsn = kInvalidLsn;
+    Lsn end = kInvalidLsn;  // the next record's LSN
+  };
+
   /// One page's outstanding redo work.
   struct PendingPage {
     /// The page's dirty-page-table recLSN — conservative lower bound on
     /// `records`; checkpoints taken while the page is pending report it.
     Lsn rec_lsn = kInvalidLsn;
-    /// LSNs of the page's kUpdate/kClr records in [recLSN, log end),
-    /// ascending. Never empty for an installed entry.
-    std::vector<Lsn> records;
+    /// The page's kUpdate/kClr records in [recLSN, log end), ascending.
+    /// Never empty for an installed entry.
+    std::vector<RecordExtent> records;
   };
 
   explicit RecoveryMap(WalManager* wal) : wal_(wal) {}
@@ -54,7 +65,7 @@ class RecoveryMap {
 
   /// Installs the analysis pass's per-page redo index. Entries with empty
   /// record lists are dropped (a torn tail can cut a DPT page's records).
-  void Install(std::unordered_map<PageId, PendingPage> pending);
+  void Install(std::map<PageId, PendingPage> pending);
 
   /// Applies `id`'s pending records to `page` (its current disk image) in
   /// LSN order, each guarded by the state-identifier test. Non-consuming —
@@ -63,6 +74,12 @@ class RecoveryMap {
   /// whether the page was pending at all; `*applied`/`*rec_lsn` whether any
   /// record changed bytes and the first applied LSN (the frame's dirty
   /// recLSN). Holds no mutex across WAL reads.
+  ///
+  /// Reads are coalesced: the records are split into runs, each the longest
+  /// stretch whose extent (first LSN to last record's end) fits one
+  /// WalManager::kScanReadAhead slab, and each run costs one read that ends
+  /// at its last record. A page whose records are far apart still pays one
+  /// read per record, not the two a header-then-payload read would.
   Status ReplayOnto(PageId id, char* page, bool* had_entry, bool* applied,
                     Lsn* rec_lsn) const;
 
@@ -78,7 +95,8 @@ class RecoveryMap {
 
   bool HasPending(PageId id) const;
 
-  /// Smallest pending page id >= `floor`; the sweeper's cursor walk.
+  /// Smallest pending page id >= `floor`; the cursor walk of DrainRedo,
+  /// the sweeper and WaitUntilRecovered. O(log pending).
   bool FirstPendingAtLeast(PageId floor, PageId* out) const;
 
   /// (page, recLSN) for every still-pending page. Checkpoints merge this
@@ -110,7 +128,8 @@ class RecoveryMap {
   WalManager* const wal_;
 
   mutable Mutex mu_;
-  std::unordered_map<PageId, PendingPage> pending_ GUARDED_BY(mu_);
+  /// Ordered by page id so the cursor walk is a lower_bound.
+  std::map<PageId, PendingPage> pending_ GUARDED_BY(mu_);
 
   std::atomic<size_t> pending_count_{0};
   std::atomic<uint64_t> records_indexed_{0};

@@ -23,8 +23,10 @@ Status LogReader::Fill(size_t need, const char** data, size_t* avail) {
   if (have < need) {
     // Refill from the current offset; frames are consumed in order, so
     // nothing before offset_ is ever needed again. A frame larger than the
-    // slab just forces a frame-sized read.
-    size_t want = std::max(need, read_ahead_);
+    // slab just forces a frame-sized read. Nothing at or past limit_ is
+    // read.
+    const size_t want = static_cast<size_t>(std::min<uint64_t>(
+        std::max(need, read_ahead_), limit_ - std::min(limit_, offset_)));
     if (slab_.size() < want) slab_.resize(want);
     Slice result;
     PITREE_RETURN_IF_ERROR(file_->Read(offset_, want, &result, slab_.data()));

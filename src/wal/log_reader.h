@@ -1,6 +1,7 @@
 #ifndef PITREE_WAL_LOG_READER_H_
 #define PITREE_WAL_LOG_READER_H_
 
+#include <limits>
 #include <string>
 
 #include "common/status.h"
@@ -20,6 +21,12 @@ namespace pitree {
 /// random access, where a slab would mostly be thrown away. Buffering does
 /// not change what the reader accepts: torn-tail detection (short frame,
 /// implausible length, CRC mismatch) sees the same bytes either way.
+///
+/// A buffered reader also serves Seek()s that land inside its slab without
+/// touching the file, and set_limit() caps how far a refill reads. Together
+/// they let a caller fetch one exact extent of the log in a single read and
+/// then parse any frames inside it in any order (lazy redo's coalesced
+/// runs, recovery/recovery_map.h).
 class LogReader {
  public:
   explicit LogReader(const File* file, Lsn start = 0, size_t read_ahead = 0)
@@ -31,8 +38,13 @@ class LogReader {
   /// CRC (a true bug, not a torn tail).
   Status ReadNext(LogRecord* rec);
 
-  /// Repositions the reader.
+  /// Repositions the reader. A buffered reader keeps its slab, so frames
+  /// wholly inside it parse without another read.
   void Seek(Lsn lsn) { offset_ = lsn; }
+
+  /// Refills never read at or past `limit`: bytes there are absent to this
+  /// reader, so a frame crossing it reads as a torn (short) frame.
+  void set_limit(Lsn limit) { limit_ = limit; }
 
   /// Offset of the next unread byte.
   Lsn offset() const { return offset_; }
@@ -47,6 +59,7 @@ class LogReader {
   const File* file_;
   Lsn offset_;
   size_t read_ahead_;
+  Lsn limit_ = std::numeric_limits<Lsn>::max();
   std::string slab_;
   Lsn slab_start_ = 0;
   size_t slab_len_ = 0;

@@ -16,11 +16,6 @@ namespace {
 
 constexpr size_t kFrameHeaderSize = 8;  // crc32 + payload length
 
-/// Slab size for sequential log scans (open-time end search, recovery
-/// analysis). Big enough that scan cost is sequential bandwidth, small
-/// enough to be irrelevant next to the buffer pool.
-constexpr size_t kScanReadAhead = 256 << 10;
-
 }  // namespace
 
 // The §4.1 checker (src/analysis/) tracks append-mutex ownership at rank
@@ -125,9 +120,7 @@ Status WalManager::ReadRecord(Lsn lsn, LogRecord* rec) const {
   // leader only writes at offsets >= durable_ and durability never
   // retreats — and durable_ always lands on a frame boundary, so a reader
   // that observes lsn < durable_ can decode straight from the file without
-  // the append mutex. Per-page lazy redo (recovery/recovery_map.h) leans
-  // on this: replay reads during instant restore must not convoy commit
-  // appends behind mu_.
+  // the append mutex; undo's chain walks never convoy commit appends.
   if (lsn < durable_.load(std::memory_order_acquire)) {
     LogReader reader(segments_.reader_view(), lsn);
     return reader.ReadNext(rec);

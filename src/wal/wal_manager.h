@@ -73,6 +73,12 @@ struct WalStats {
 /// the next forced batch.
 class WalManager {
  public:
+  /// Slab size for buffered log reads (open-time end search, recovery
+  /// analysis, lazy redo's coalesced runs). Big enough that scan cost is
+  /// sequential bandwidth, small enough to be irrelevant next to the
+  /// buffer pool.
+  static constexpr size_t kScanReadAhead = 256 << 10;
+
   WalManager() = default;
   WalManager(const WalManager&) = delete;
   WalManager& operator=(const WalManager&) = delete;
@@ -125,22 +131,21 @@ class WalManager {
 
   /// Random-access read of the record at `lsn`, whether it has been flushed
   /// to the file or still sits in a segment. Undo walks chains through this
-  /// (rollback may need records that were never forced), and instant
-  /// restore replays each page's redo range through it. Reads below the
+  /// (rollback may need records that were never forced). Reads below the
   /// durable horizon never touch the append mutex — the durable prefix is
-  /// immutable — so per-page replay cannot convoy commit traffic. A
-  /// buffered `lsn` that is not a frame boundary returns InvalidArgument,
-  /// never garbage.
+  /// immutable. A buffered `lsn` that is not a frame boundary returns
+  /// InvalidArgument, never garbage.
   Status ReadRecord(Lsn lsn, LogRecord* rec) const;
 
-  /// Buffered sequential reader over the immutable durable prefix, starting
-  /// at `start` (a frame boundary < durable_lsn()). The reader pulls the
-  /// file in large slabs, so a full-log scan costs sequential bandwidth
-  /// instead of two small reads per record — this is the asymmetry instant
-  /// restore banks on: open-time analysis streams the whole log cheaply,
-  /// while lazy per-page replay pays random-access ReadRecord() only for
-  /// the pages actually touched. Bypasses the append mutex for the same
-  /// reason as ReadRecord's fast path (bytes below durable_ never change).
+  /// Buffered reader over the immutable durable prefix, starting at
+  /// `start` (a frame boundary < durable_lsn()). The reader pulls the file
+  /// in kScanReadAhead slabs, so a full-log scan costs sequential bandwidth
+  /// instead of two small reads per record. Open-time analysis streams the
+  /// log through one; lazy per-page replay fetches each run of a page's
+  /// records through one (LogReader::set_limit bounds the read to the run)
+  /// and seeks among the frames in the slab. Bypasses the append mutex for
+  /// the same reason as ReadRecord's fast path (bytes below durable_ never
+  /// change), so per-page replay cannot convoy commit traffic.
   /// The slab may prefetch past the durable horizon, but frames starting
   /// below it never extend past it (durability lands on frame boundaries),
   /// so no volatile byte is ever parsed while the caller stays below

@@ -139,6 +139,26 @@ TEST(CodingTest, LengthPrefixedSliceRejectsShortPayload) {
 TEST(Crc32Test, KnownVector) {
   // CRC-32C("123456789") = 0xE3069283
   EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
+  // RFC 3720 (iSCSI) appendix B.4 vectors, through the dispatching entry
+  // point and the portable table alike.
+  char zeros[32], ones[32], up[32], down[32];
+  for (int i = 0; i < 32; ++i) {
+    zeros[i] = 0;
+    ones[i] = static_cast<char>(0xff);
+    up[i] = static_cast<char>(i);
+    down[i] = static_cast<char>(31 - i);
+  }
+  const struct {
+    const char* data;
+    uint32_t crc;
+  } kVectors[] = {{zeros, 0x8A9136AAu},
+                  {ones, 0x62A8AB43u},
+                  {up, 0x46DD794Eu},
+                  {down, 0x113FDB5Cu}};
+  for (const auto& v : kVectors) {
+    EXPECT_EQ(Crc32c(v.data, 32), v.crc);
+    EXPECT_EQ(crc32c_internal::ExtendPortable(0, v.data, 32), v.crc);
+  }
 }
 
 TEST(Crc32Test, ExtendMatchesOneShot) {
@@ -147,6 +167,36 @@ TEST(Crc32Test, ExtendMatchesOneShot) {
   uint32_t one = Crc32c(data, n);
   uint32_t two = Crc32cExtend(Crc32c(data, 10), data + 10, n - 10);
   EXPECT_EQ(one, two);
+}
+
+// The crc32-instruction path must be bit-identical to the table for every
+// length (word loop plus byte tail) at every alignment, and chain the same.
+TEST(Crc32Test, HardwareMatchesTable) {
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 instruction on this CPU";
+  }
+  std::string buf(8 + 300, '\0');
+  Random rnd(7);
+  for (char& c : buf) c = static_cast<char>(rnd.Uniform(256));
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const char* p = buf.data() + start;
+      ASSERT_EQ(crc32c_internal::ExtendHardware(0, p, len),
+                crc32c_internal::ExtendPortable(0, p, len))
+          << "start " << start << " len " << len;
+    }
+  }
+  // Extend chaining: any split of the input gives the one-shot value, and
+  // a running CRC from one implementation continues in the other.
+  const char* p = buf.data();
+  const uint32_t whole = crc32c_internal::ExtendPortable(0, p, 300);
+  for (size_t cut = 0; cut <= 300; cut += 13) {
+    uint32_t hw = crc32c_internal::ExtendHardware(0, p, cut);
+    EXPECT_EQ(crc32c_internal::ExtendHardware(hw, p + cut, 300 - cut), whole);
+    EXPECT_EQ(crc32c_internal::ExtendPortable(hw, p + cut, 300 - cut), whole);
+    uint32_t sw = crc32c_internal::ExtendPortable(0, p, cut);
+    EXPECT_EQ(crc32c_internal::ExtendHardware(sw, p + cut, 300 - cut), whole);
+  }
 }
 
 TEST(Crc32Test, MaskRoundTrip) {

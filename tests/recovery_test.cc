@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <map>
@@ -21,10 +22,13 @@
 #include <vector>
 
 #include "common/coding.h"
+#include "common/random.h"
 #include "db/database.h"
+#include "env/fault_plan.h"
 #include "env/sim_env.h"
 #include "harness/abandon.h"
 #include "recovery/checkpoint.h"
+#include "recovery/recovery_map.h"
 #include "wal/log_reader.h"
 #include "wal/wal_segments.h"
 
@@ -224,8 +228,100 @@ class RecoveryTest : public ::testing::Test {
     opts.buffer_pool_pages = 64;
     return opts;
   }
+
+  /// Copies the crash image of database "db" (page file, master record and
+  /// every WAL segment; the log must be untruncated) into `to`, so several
+  /// recoveries can each start from the same durable state.
+  void CloneImage(SimEnv* to) {
+    std::vector<std::string> files = {"db.db", "db.master"};
+    for (uint64_t seq = 1; env_.FileExists(WalSegmentFileName("db.wal", seq));
+         ++seq) {
+      files.push_back(WalSegmentFileName("db.wal", seq));
+    }
+    for (const std::string& f : files) {
+      if (!env_.FileExists(f)) continue;
+      std::string bytes;
+      ASSERT_TRUE(env_.ReadFileToString(f, &bytes).ok()) << f;
+      ASSERT_TRUE(to->WriteFileAtomic(f, bytes).ok()) << f;
+    }
+  }
+
+  /// What one recovery of a clone of the crash image cost, from Open
+  /// through WaitUntilRecovered (offline mode has drained by then; instant
+  /// mode, sweeper off, drains inside WaitUntilRecovered).
+  struct RestartReads {
+    uint64_t reads = 0;  // device reads, every file
+    uint64_t records_redone = 0;
+    uint64_t pages_replayed = 0;
+  };
+
+  void MeasureRestart(Options opts, bool instant, RestartReads* out) {
+    SimEnv image;
+    CloneImage(&image);
+    // Counts reads and injects nothing; declared before `db` so it outlives
+    // the database's shutdown flush.
+    FaultPlan counter;
+    opts.fault_plan = &counter;
+    opts.instant_restore = instant;
+    opts.recovery_sweeper = false;
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(opts, &image, "db", &db).ok());
+    ASSERT_TRUE(db->WaitUntilRecovered().ok());
+    out->reads = counter.op_count(FaultOp::kRead);
+    out->records_redone = db->recovery_map()->records_replayed();
+    out->pages_replayed = db->recovery_map()->pages_replayed();
+  }
+
   SimEnv env_;
 };
+
+// The cursor walk behind DrainRedo, the sweeper and WaitUntilRecovered:
+// pending page ids come back in ascending order, the floor is inclusive,
+// and entries retired while a walk is under way (demand fetches racing the
+// sweeper) are never returned again.
+TEST(RecoveryMapTest, PendingWalkIsAscendingFromFloor) {
+  RecoveryMap map(nullptr);
+  std::map<PageId, RecoveryMap::PendingPage> pending;
+  for (PageId id : {40u, 7u, 19u, 3u, 88u, 20u}) {
+    RecoveryMap::PendingPage entry;
+    entry.rec_lsn = 1000 + 100 * id;
+    entry.records.push_back({entry.rec_lsn, entry.rec_lsn + 60});
+    pending.emplace(id, entry);
+  }
+  pending.emplace(55, RecoveryMap::PendingPage());  // no records: dropped
+  map.Install(std::move(pending));
+  EXPECT_EQ(map.pending_pages(), 6u);
+  EXPECT_EQ(map.records_indexed(), 6u);
+
+  PageId pid = kInvalidPageId;
+  ASSERT_TRUE(map.FirstPendingAtLeast(0, &pid));
+  EXPECT_EQ(pid, 3u);
+  ASSERT_TRUE(map.FirstPendingAtLeast(19, &pid));
+  EXPECT_EQ(pid, 19u);
+  ASSERT_TRUE(map.FirstPendingAtLeast(21, &pid));
+  EXPECT_EQ(pid, 40u);
+  ASSERT_TRUE(map.FirstPendingAtLeast(41, &pid));
+  EXPECT_EQ(pid, 88u);
+  EXPECT_FALSE(map.FirstPendingAtLeast(89, &pid));
+
+  std::vector<PageId> visited;
+  PageId floor = 0;
+  while (map.FirstPendingAtLeast(floor, &pid)) {
+    visited.push_back(pid);
+    if (pid == 7) {
+      // Retire entries ahead of the cursor, as a demand fetch would.
+      map.MarkReplayed(19);
+      map.DiscardPending(20);
+    }
+    map.MarkReplayed(pid);
+    floor = pid + 1;
+  }
+  EXPECT_EQ(visited, (std::vector<PageId>{3, 7, 40, 88}));
+  EXPECT_EQ(map.pending_pages(), 0u);
+  EXPECT_FALSE(map.FirstPendingAtLeast(0, &pid));
+  EXPECT_EQ(map.pages_replayed(), 5u);
+  EXPECT_EQ(map.pages_discarded(), 1u);
+}
 
 TEST_F(RecoveryTest, CommittedTransactionSurvivesCrashWithoutPageFlush) {
   {
@@ -503,12 +599,7 @@ TEST_F(RecoveryTest, LazyRedoIsIdempotentAndMatchesOffline) {
   // Clone the crash image so the offline and instant recoveries each work
   // on their own copy of the exact same durable state.
   SimEnv env2;
-  for (const char* f : {"db.db", "db.wal.000001", "db.master"}) {
-    if (!env_.FileExists(f)) continue;
-    std::string bytes;
-    ASSERT_TRUE(env_.ReadFileToString(f, &bytes).ok());
-    ASSERT_TRUE(env2.WriteFileAtomic(f, bytes).ok());
-  }
+  CloneImage(&env2);
 
   // Reference: offline recovery repeats all history during Open.
   std::unique_ptr<Database> offline;
@@ -722,6 +813,162 @@ TEST_F(RecoveryTest, SweeperBacksOffOnPersistentReadFaults) {
     ASSERT_TRUE(tree->Get(txn, Key(i), &v).ok()) << Key(i);
   }
   (void)db->Commit(txn);
+}
+
+// Replay fetches each page's records in coalesced runs. Pages filled in key
+// order keep their whole history in one stretch of log, so a restart costs
+// about two reads per page (the page, then its run) rather than two per
+// record (a frame header, then its payload).
+TEST_F(RecoveryTest, ClusteredRedoReadsFarFewerThanRecords) {
+  Options opts = DefaultOptions();
+  opts.buffer_pool_pages = 4096;  // nothing evicts: all history is log
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(opts, &env_, "db", &db).ok());
+    PiTree* tree;
+    ASSERT_TRUE(db->CreateIndex("t", &tree).ok());
+    const std::string value(100, 'v');
+    for (int i = 0; i < 2000; ++i) {
+      Transaction* txn = db->Begin();
+      ASSERT_TRUE(tree->Insert(txn, Key(i), value).ok());
+      ASSERT_TRUE(db->Commit(txn).ok());
+    }
+    env_.Crash();
+    harness::AbandonDatabase(db);
+  }
+  RestartReads offline, instant;
+  MeasureRestart(opts, /*instant=*/false, &offline);
+  MeasureRestart(opts, /*instant=*/true, &instant);
+  for (const RestartReads* r : {&offline, &instant}) {
+    EXPECT_GE(r->records_redone, 2000u);
+    EXPECT_LT(r->reads * 4, r->records_redone)
+        << r->reads << " reads for " << r->records_redone << " records";
+  }
+  // Both modes repeat the same history.
+  EXPECT_EQ(offline.records_redone, instant.records_redone);
+}
+
+// Updates to uniformly random keys scatter each page's records over the log,
+// so runs hold few records. Each record still costs at most one read: its
+// frame is fetched whole, never header and payload apart.
+TEST_F(RecoveryTest, ScatteredRedoReadsAtMostOnePerRecord) {
+  Options opts = DefaultOptions();
+  opts.buffer_pool_pages = 4096;
+  constexpr int kKeys = 3000;
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(opts, &env_, "db", &db).ok());
+    PiTree* tree;
+    ASSERT_TRUE(db->CreateIndex("t", &tree).ok());
+    const std::string value(200, 'v');
+    for (int i = 0; i < kKeys; i += 50) {
+      Transaction* txn = db->Begin();
+      for (int k = i; k < i + 50; ++k) {
+        ASSERT_TRUE(tree->Insert(txn, Key(k), value).ok());
+      }
+      ASSERT_TRUE(db->Commit(txn).ok());
+    }
+    // Write the loaded tree back and checkpoint, so only the updates below
+    // are pending at restart.
+    ASSERT_TRUE(db->FlushAll().ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+    Random rnd(11);
+    for (int i = 0; i < 2000; ++i) {
+      Transaction* txn = db->Begin();
+      const std::string next(200, static_cast<char>('a' + i % 26));
+      ASSERT_TRUE(tree->Update(txn, Key(rnd.Uniform(kKeys)), next).ok());
+      ASSERT_TRUE(db->Commit(txn).ok());
+    }
+    env_.Crash();
+    harness::AbandonDatabase(db);
+  }
+  // Besides one read per run and one per pending page, a restart reads the
+  // WAL's segment header and tail, the analysis slabs and the metadata
+  // pages: a handful.
+  constexpr uint64_t kFixedReads = 16;
+  RestartReads offline, instant;
+  MeasureRestart(opts, /*instant=*/false, &offline);
+  MeasureRestart(opts, /*instant=*/true, &instant);
+  for (const RestartReads* r : {&offline, &instant}) {
+    EXPECT_GE(r->records_redone, 2000u);
+    EXPECT_LE(r->reads, r->records_redone + r->pages_replayed + kFixedReads)
+        << r->records_redone << " records on " << r->pages_replayed
+        << " pages";
+  }
+  EXPECT_EQ(offline.records_redone, instant.records_redone);
+}
+
+// Pre-crash image oracle. With 64 KiB WAL segments and a few hot keys
+// updated from one end of the log to the other, some page's records span
+// several slab-sized runs and runs cross segment boundaries. After a crash
+// that flushed only the WAL, every page must come back byte-identical to
+// its image just before the crash, through offline and lazy redo alike.
+TEST_F(RecoveryTest, RecoveredPagesMatchPreCrashImages) {
+  Options opts = DefaultOptions();
+  opts.buffer_pool_pages = 4096;  // nothing evicts: every page stays dirty
+  opts.wal_segment_bytes = 64 << 10;
+  opts.inline_completion = true;
+  std::map<PageId, std::string> images;
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(opts, &env_, "db", &db).ok());
+    PiTree* tree;
+    ASSERT_TRUE(db->CreateIndex("t", &tree).ok());
+    Random rnd(5);
+    for (int i = 0; i < 2500; ++i) {
+      Transaction* txn = db->Begin();
+      ASSERT_TRUE(tree->Insert(txn, Key(i), std::string(150, 'v')).ok());
+      if (i >= 10) {
+        const std::string next(150, static_cast<char>('a' + i % 26));
+        ASSERT_TRUE(tree->Update(txn, Key(rnd.Uniform(10)), next).ok());
+      }
+      ASSERT_TRUE(db->Commit(txn).ok());
+    }
+    WalManager* wal = db->context()->wal;
+    ASSERT_TRUE(wal->FlushAll().ok());  // the WAL only; no page is written
+    EXPECT_GE(db->wal_stats().segments, 8u);
+    // The widest page history, first record to last record's end.
+    std::map<PageId, std::pair<Lsn, Lsn>> spans;
+    LogReader scan = wal->MakeDurableScanner(wal->floor_lsn());
+    LogRecord rec;
+    while (scan.offset() < wal->durable_lsn() && scan.ReadNext(&rec).ok()) {
+      if (rec.type != LogRecordType::kUpdate &&
+          rec.type != LogRecordType::kClr) {
+        continue;
+      }
+      auto it = spans.try_emplace(rec.page_id, rec.lsn, rec.next_lsn).first;
+      it->second.second = rec.next_lsn;
+    }
+    Lsn widest = 0;
+    for (const auto& [page, span] : spans) {
+      widest = std::max(widest, span.second - span.first);
+    }
+    ASSERT_GT(widest, 2 * WalManager::kScanReadAhead);
+    for (const auto& [page, rec_lsn] : db->context()->pool->DirtyPageTable()) {
+      PageHandle h;
+      ASSERT_TRUE(db->context()->pool->FetchPage(page, &h).ok());
+      images[page].assign(h.data(), kPageSize);
+    }
+    env_.Crash();
+    harness::AbandonDatabase(db);
+  }
+  ASSERT_GE(images.size(), 20u);
+  for (bool instant : {false, true}) {
+    SimEnv image;
+    CloneImage(&image);
+    Options ropts = opts;
+    ropts.instant_restore = instant;
+    ropts.recovery_sweeper = false;
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(ropts, &image, "db", &db).ok());
+    ASSERT_TRUE(db->WaitUntilRecovered().ok());
+    for (const auto& [page, bytes] : images) {
+      PageHandle h;
+      ASSERT_TRUE(db->context()->pool->FetchPage(page, &h).ok());
+      ASSERT_EQ(memcmp(h.data(), bytes.data(), kPageSize), 0)
+          << (instant ? "instant" : "offline") << " restore, page " << page;
+    }
+  }
 }
 
 }  // namespace
