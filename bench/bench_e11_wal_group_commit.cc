@@ -6,18 +6,21 @@
 // copies frames under a short critical section, elects the first force
 // waiter leader, and performs the Write+Sync with the mutex dropped:
 // appends proceed during the sync, and one batch releases every commit
-// whose record joined it.
+// whose record joined it. A commit-led batch may be held open for as many
+// commits as recent batches had (the batch former, DESIGN.md §10).
 //
-// The sweep is commit threads {1,2,4,8} x impl {seed baseline, group w=0,
-// group w=100us}, on a SimEnv with a modeled 20us device fsync so that
-// sync-count savings translate into time, as on real storage. The mixed
-// workload adds two rate-limited background appenders (atomic-action
-// traffic under relative durability §4.3.1: records ride along, never
-// force). Reported per run: commit throughput, physical syncs per commit,
-// and p50/p99 commit latency.
+// The sweep is commit threads {1,2,4,8} x impl {seed baseline, group}, on a
+// SimEnv with a modeled 20us device fsync so that sync-count savings
+// translate into time, as on real storage. The mixed workload adds two
+// rate-limited background appenders (atomic-action traffic under relative
+// durability §4.3.1: records ride along, never force). Reported per run:
+// commit throughput, physical syncs per commit, p50/p99 commit latency,
+// and the batch former's holds.
 //
 // Emits the paper-style table plus a JSON artifact (BENCH_e11.json) so CI
-// can track the trajectory. PITREE_BENCH_SMOKE=1 shrinks the sweep.
+// can track the trajectory. PITREE_BENCH_SMOKE=1 shrinks the sweep. Exits 1
+// if a 1-thread run ever holds a batch (a lone committer has nobody to wait
+// for) or a multi-thread group run needs a sync per commit (no grouping).
 
 #include <algorithm>
 #include <atomic>
@@ -76,6 +79,9 @@ class SeedWal {
     return Status::OK();
   }
 
+  // The seed had one force path for every caller.
+  Status FlushCommit(Lsn lsn) { return Flush(lsn); }
+
  private:
   std::unique_ptr<File> file_;
   std::mutex mu_;
@@ -86,7 +92,6 @@ class SeedWal {
 
 struct RunResult {
   std::string impl;
-  uint64_t window_us = 0;
   int threads = 0;
   uint64_t commits = 0;
   double seconds = 0;
@@ -95,8 +100,12 @@ struct RunResult {
   double syncs_per_commit = 0;
   double p50_us = 0;
   double p99_us = 0;
-  uint64_t batches = 0;        // group pipeline only (0 for the baseline)
-  double avg_batch_bytes = 0;  // group pipeline only
+  // Group pipeline only (0 for the baseline):
+  uint64_t batches = 0;
+  double avg_batch_bytes = 0;
+  uint64_t holds = 0;
+  uint64_t holds_filled = 0;
+  uint64_t hold_us = 0;
 };
 
 uint64_t CommitsPerThread() {
@@ -121,10 +130,9 @@ LogRecord MakeUpdateRecord(TxnId txn, PageId page) {
 
 /// One timed run: `threads` commit loops (update + commit record + force)
 /// with two background appenders feeding non-forced traffic. `Wal` needs
-/// Append(rec, &lsn) and Flush(lsn).
+/// Append(rec, &lsn) and FlushCommit(lsn).
 template <typename Wal>
-RunResult TimeRun(Wal& wal, SimEnv& env, const char* impl, uint64_t window_us,
-                  int threads) {
+RunResult TimeRun(Wal& wal, SimEnv& env, const char* impl, int threads) {
   const uint64_t per_thread = CommitsPerThread();
   std::atomic<bool> stop{false};
   std::atomic<bool> failed{false};
@@ -165,7 +173,7 @@ RunResult TimeRun(Wal& wal, SimEnv& env, const char* impl, uint64_t window_us,
         }
         Timer commit_timer;
         LogRecord commit = MakeCommit(t, lsn);
-        if (!wal.Append(commit, &lsn).ok() || !wal.Flush(lsn).ok()) {
+        if (!wal.Append(commit, &lsn).ok() || !wal.FlushCommit(lsn).ok()) {
           failed.store(true);
           return;
         }
@@ -186,7 +194,6 @@ RunResult TimeRun(Wal& wal, SimEnv& env, const char* impl, uint64_t window_us,
 
   RunResult r;
   r.impl = impl;
-  r.window_us = window_us;
   r.threads = threads;
   r.commits = per_thread * threads;
   r.seconds = secs;
@@ -199,35 +206,41 @@ RunResult TimeRun(Wal& wal, SimEnv& env, const char* impl, uint64_t window_us,
   return r;
 }
 
-RunResult RunOnce(const char* impl, uint64_t window_us, int threads) {
+RunResult RunOnce(const char* impl, int threads) {
   SimEnv env;
   env.set_sync_delay_us(kSyncDelayUs);
   if (std::string(impl) == "seed") {
     SeedWal wal;
     if (!wal.Open(&env, "bench.wal").ok()) abort();
-    return TimeRun(wal, env, impl, window_us, threads);
+    return TimeRun(wal, env, impl, threads);
   }
   WalManager wal;
-  if (!wal.Open(&env, "bench.wal", window_us).ok()) abort();
-  RunResult r = TimeRun(wal, env, impl, window_us, threads);
+  if (!wal.Open(&env, "bench.wal").ok()) abort();
+  RunResult r = TimeRun(wal, env, impl, threads);
   const WalStats st = wal.stats();
   r.batches = st.batches;
   r.avg_batch_bytes = st.avg_batch_bytes;
+  r.holds = st.holds;
+  r.holds_filled = st.holds_filled;
+  r.hold_us = st.hold_us;
   return r;
 }
 
 std::string ToJson(const RunResult& r) {
   char buf[512];
   snprintf(buf, sizeof(buf),
-           "    {\"impl\": \"%s\", \"window_us\": %llu, \"threads\": %d, "
+           "    {\"impl\": \"%s\", \"threads\": %d, "
            "\"commits\": %llu, \"seconds\": %.4f, \"kops\": %.2f, "
            "\"syncs\": %llu, \"syncs_per_commit\": %.3f, "
            "\"p50_us\": %.1f, \"p99_us\": %.1f, "
-           "\"batches\": %llu, \"avg_batch_bytes\": %.0f}",
-           r.impl.c_str(), (unsigned long long)r.window_us, r.threads,
-           (unsigned long long)r.commits, r.seconds, r.kops,
-           (unsigned long long)r.syncs, r.syncs_per_commit, r.p50_us,
-           r.p99_us, (unsigned long long)r.batches, r.avg_batch_bytes);
+           "\"batches\": %llu, \"avg_batch_bytes\": %.0f, "
+           "\"holds\": %llu, \"holds_filled\": %llu, \"hold_us\": %llu}",
+           r.impl.c_str(), r.threads, (unsigned long long)r.commits,
+           r.seconds, r.kops, (unsigned long long)r.syncs,
+           r.syncs_per_commit, r.p50_us, r.p99_us,
+           (unsigned long long)r.batches, r.avg_batch_bytes,
+           (unsigned long long)r.holds, (unsigned long long)r.holds_filled,
+           (unsigned long long)r.hold_us);
   return buf;
 }
 
@@ -243,14 +256,9 @@ int main(int argc, char** argv) {
   const unsigned hw = std::thread::hardware_concurrency();
   const char* out_path = argc > 1 ? argv[1] : "BENCH_e11.json";
 
-  struct Impl {
-    const char* name;
-    uint64_t window_us;
-  };
-  const Impl kImpls[] = {
-      {"seed", 0},        // single mutex, held across Write+Sync
-      {"group", 0},       // pipeline, leader syncs immediately
-      {"group-w100", 100},  // pipeline, leader waits 100us for joiners
+  const char* const kImpls[] = {
+      "seed",   // single mutex, held across Write+Sync
+      "group",  // pipeline with the batch former
   };
   std::vector<int> thread_counts = {1, 2, 4, 8};
 
@@ -261,18 +269,31 @@ int main(int argc, char** argv) {
          bench::kBackgroundAppenders);
 
   std::vector<RunResult> results;
+  const std::vector<int> widths = {7, 9, 10, 14, 8, 8, 9, 12, 7, 8, 8};
   PrintRow({"impl", "threads", "kops/s", "syncs/commit", "p50 us", "p99 us",
-            "batches", "avg batch B"},
-           {12, 9, 10, 14, 10, 10, 9, 12});
+            "batches", "avg batch B", "holds", "filled", "hold us"},
+           widths);
+  bool ok = true;
   for (int threads : thread_counts) {
-    for (const Impl& impl : kImpls) {
-      RunResult r = RunOnce(impl.name, impl.window_us, threads);
+    for (const char* impl : kImpls) {
+      RunResult r = RunOnce(impl, threads);
       results.push_back(r);
       PrintRow({r.impl, FmtU(r.threads), Fmt(r.kops, 2),
                 Fmt(r.syncs_per_commit, 3), Fmt(r.p50_us, 0),
                 Fmt(r.p99_us, 0), FmtU(r.batches),
-                Fmt(r.avg_batch_bytes, 0)},
-               {12, 9, 10, 14, 10, 10, 9, 12});
+                Fmt(r.avg_batch_bytes, 0), FmtU(r.holds),
+                FmtU(r.holds_filled), FmtU(r.hold_us)},
+               widths);
+      if (r.threads == 1 && r.holds > 0) {
+        printf("FAIL: a lone committer held %llu batches\n",
+               (unsigned long long)r.holds);
+        ok = false;
+      }
+      if (r.impl == "group" && r.threads > 1 && r.syncs_per_commit >= 1.0) {
+        printf("FAIL: %d committers needed %.3f syncs per commit\n",
+               r.threads, r.syncs_per_commit);
+        ok = false;
+      }
     }
     printf("\n");
   }
@@ -309,5 +330,5 @@ int main(int argc, char** argv) {
   fprintf(f, "  ]\n}\n");
   fclose(f);
   printf("wrote %s\n", out_path);
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -39,15 +39,6 @@ struct Options {
   /// paths return the same answers under the same 2PL locking.
   bool optimistic_reads = true;
 
-  /// Group-commit window for WAL commit forces, in microseconds. A force
-  /// parks the caller until its record is durable; the first waiter is
-  /// elected leader and waits this long before the batch sync so that
-  /// commits arriving meanwhile can join it — one sync then absorbs them
-  /// all. 0 = sync immediately when a waiter exists (lowest single-commit
-  /// latency; batching still happens for commits that arrive while a
-  /// previous batch's sync is in flight).
-  size_t wal_group_commit_window_us = 0;
-
   /// CP vs. CNS (§5.2). When false, node consolidation never runs; the tree
   /// uses the Consolidation-Not-Supported invariant: single-latch traversal,
   /// no latch coupling, saved paths trusted without re-verification of node
@@ -148,6 +139,8 @@ struct Options {
   /// Truncation granularity is whole segments, so smaller segments bound
   /// the disk footprint tighter at the cost of more files. 0 = the
   /// kDefaultWalSegmentBytes compiled into wal/wal_segments.h (8 MiB).
+  /// Group commit has no knob: the WAL sizes each batch from the commits
+  /// recent batches had, capped by the measured sync time (DESIGN.md §10).
   uint64_t wal_segment_bytes = 0;
 
   /// Deterministic fault-injection schedule (env/fault_plan.h), installed

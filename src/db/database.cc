@@ -36,9 +36,8 @@ Status Database::Init(const Options& options, Env* env,
   }
 
   PITREE_RETURN_IF_ERROR(disk_.Open(env, name + ".db"));
-  PITREE_RETURN_IF_ERROR(wal_.Open(env, name + ".wal",
-                                   options.wal_group_commit_window_us,
-                                   options.wal_segment_bytes));
+  PITREE_RETURN_IF_ERROR(
+      wal_.Open(env, name + ".wal", options.wal_segment_bytes));
   ctx_.wal = &wal_;
 
   // The redo index exists in both recovery modes (empty after offline

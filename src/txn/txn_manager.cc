@@ -68,8 +68,10 @@ Status TxnManager::Commit(Transaction* txn) {
       // locks (No-Wait Rule, §4.1) — record locks are still held, but those
       // are released below only after durability, preserving strictness —
       // and one batch sync releases every commit whose record joined it.
-      // Atomic actions rely on relative durability (§4.3.1): no force here.
-      PITREE_RETURN_IF_ERROR(wal_->Flush(lsn));
+      // FlushCommit marks this as a commit force, the only kind a batch
+      // holds open for. Atomic actions rely on relative durability
+      // (§4.3.1): no force here.
+      PITREE_RETURN_IF_ERROR(wal_->FlushCommit(lsn));
     }
     // Publish visibility only after the force: a snapshot that reads this
     // commit must never out-live it across a crash. (Atomic actions publish

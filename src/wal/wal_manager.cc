@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <iterator>
 #include <thread>
 
 #include "analysis/latch_checker.h"
@@ -26,10 +27,8 @@ constexpr size_t kFrameHeaderSize = 8;  // crc32 + payload length
 // re-convoying every appender behind one thread's fsync.
 
 Status WalManager::Open(Env* env, const std::string& path,
-                        uint64_t group_commit_window_us,
                         uint64_t segment_bytes) {
   ReleasableMutexLock lk(&mu_);
-  window_us_ = group_commit_window_us;
   segment_bytes_ = segment_bytes > 0 ? segment_bytes : kDefaultWalSegmentBytes;
   PITREE_RETURN_IF_ERROR(segments_.Open(env, path, /*read_only=*/false));
   // Scan for the end of the valid prefix; a torn tail from a crash is
@@ -171,19 +170,59 @@ Status WalManager::ReadRecord(Lsn lsn, LogRecord* rec) const {
 Status WalManager::Flush(Lsn lsn) {
   // Durable through the record *at* lsn: every frame boundary below
   // durable_ is fully synced, so durable_ > lsn suffices.
-  return WaitUntilDurable(lsn + 1);
+  return WaitUntilDurable(lsn + 1, /*commit=*/false);
+}
+
+Status WalManager::FlushCommit(Lsn lsn) {
+  return WaitUntilDurable(lsn + 1, /*commit=*/true);
 }
 
 Status WalManager::FlushAll() {
-  return WaitUntilDurable(next_.load(std::memory_order_acquire));
+  return WaitUntilDurable(next_.load(std::memory_order_acquire),
+                          /*commit=*/false);
 }
 
-Status WalManager::WaitUntilDurable(Lsn upto) {
+uint32_t WalManager::HoldTargetLocked() const {
+  if (sync_ns_avg_ == 0 || forming_urgent_.load(std::memory_order_relaxed)) {
+    return 0;
+  }
+  const uint32_t expected =
+      *std::max_element(std::begin(batch_sizes_), std::end(batch_sizes_));
+  return forming_commits_.load(std::memory_order_relaxed) < expected
+             ? expected
+             : 0;
+}
+
+void WalManager::SpinForCommits(uint32_t target,
+                                std::chrono::nanoseconds cap) const {
+  // Yield, never sleep: a sleep costs at least the kernel's timer slack
+  // (50 µs by default on Linux), more than a whole cap on a fast device.
+  const auto deadline = std::chrono::steady_clock::now() + cap;
+  while (forming_commits_.load(std::memory_order_relaxed) < target &&
+         !forming_urgent_.load(std::memory_order_relaxed) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+Status WalManager::WaitUntilDurable(Lsn upto, bool commit) {
   if (durable_.load(std::memory_order_acquire) >= upto) return Status::OK();
   ReleasableMutexLock lk(&mu_);
   // Nothing beyond the append point can be waited for (Flush of the last
   // record and FlushAll both land here).
   upto = std::min<Lsn>(upto, next_.load(std::memory_order_relaxed));
+  if (upto > durable_.load(std::memory_order_relaxed) + flushing_.size()) {
+    // These bytes wait on the forming batch (active_). A commit counts
+    // toward its size; any other force must not wait out a hold, so it
+    // ends one (a pool force may run under a parent latch, §4.1).
+    if (commit) {
+      forming_commits_.store(
+          forming_commits_.load(std::memory_order_relaxed) + 1,
+          std::memory_order_relaxed);
+    } else {
+      forming_urgent_.store(true, std::memory_order_relaxed);
+    }
+  }
   bool slept = false;
   for (;;) {
     if (durable_.load(std::memory_order_relaxed) >= upto) {
@@ -194,12 +233,35 @@ Status WalManager::WaitUntilDurable(Lsn upto) {
       // Leader election: this waiter owns the next batch. Everyone arriving
       // meanwhile appends into the active segment and parks below.
       flush_in_progress_ = true;
-      if (window_us_ > 0) {
-        // Group-commit window: give concurrent commits time to append their
-        // records before the segment swap, without holding the mutex.
+      const uint32_t target =
+          commit && flushing_.empty() ? HoldTargetLocked() : 0;
+      if (target > 0) {
+        // Batch former: hold the batch open for the commits recent batches
+        // had, with the mutex dropped so they can append and enrol. A
+        // commit waiter holds no latch (No-Wait Rule, §4.1).
+        n_holds_.fetch_add(1, std::memory_order_relaxed);
+        const auto cap = std::chrono::nanoseconds(sync_ns_avg_ / 4);
+        analysis::AssertNoLatchesHeld("WAL batch hold");
+        const auto start = std::chrono::steady_clock::now();
         lk.Unlock();
-        std::this_thread::sleep_for(std::chrono::microseconds(window_us_));
+        SpinForCommits(target, cap);
         lk.Lock();
+        n_hold_ns_.fetch_add(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - start)
+                .count(),
+            std::memory_order_relaxed);
+        if (forming_commits_.load(std::memory_order_relaxed) >= target) {
+          n_holds_filled_.fetch_add(1, std::memory_order_relaxed);
+          timed_out_holds_ = 0;
+        } else if (!forming_urgent_.load(std::memory_order_relaxed) &&
+                   ++timed_out_holds_ >= kTimedOutHoldsToReset) {
+          // The expectation is stale (fewer committers than before, or a
+          // chance pairing of unrelated commits): drop it rather than pay
+          // the cap on every batch until it ages out.
+          std::fill(std::begin(batch_sizes_), std::end(batch_sizes_), 0);
+          timed_out_holds_ = 0;
+        }
       }
       Status s = FlushBatchLocked(lk);
       if (s.ok() &&
@@ -246,14 +308,22 @@ Status WalManager::FlushBatchLocked(ReleasableMutexLock& lk) {
   if (flushing_.empty()) {
     if (active_.empty()) return Status::OK();
     flushing_.swap(active_);
+    batch_commits_ = forming_commits_.load(std::memory_order_relaxed);
+    forming_commits_.store(0, std::memory_order_relaxed);
+    forming_urgent_.store(false, std::memory_order_relaxed);
   }
   const Lsn base = durable_.load(std::memory_order_relaxed);
   // I/O outside the mutex: appenders and readers proceed while this batch
   // drains. Only the leader mutates flushing_, and only under mu_, so
   // reading it here unlocked is safe.
   lk.Unlock();
+  const auto start = std::chrono::steady_clock::now();
   Status s = DoWrite(base, flushing_);
   if (s.ok()) s = DoSync();
+  const uint64_t io_ns = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
   lk.Lock();
   if (!s.ok()) {
     // The batch stays staged at the same offset: a later force retries it,
@@ -266,6 +336,17 @@ Status WalManager::FlushBatchLocked(ReleasableMutexLock& lk) {
     return s;
   }
   const Lsn end = base + flushing_.size();
+  // The batch's size for the batch former. A batch that carried several
+  // commits also counts those that parked behind it while it was on the
+  // device: they come from the same group of committers, and without them
+  // three closed-loop committers would settle into batches of two.
+  batch_sizes_[batch_slot_] =
+      batch_commits_ +
+      (batch_commits_ >= 2 ? forming_commits_.load(std::memory_order_relaxed)
+                           : 0);
+  batch_slot_ = (batch_slot_ + 1) % kBatchHistory;
+  sync_ns_avg_ =
+      sync_ns_avg_ == 0 ? io_ns : sync_ns_avg_ - sync_ns_avg_ / 8 + io_ns / 8;
   n_batches_.fetch_add(1, std::memory_order_relaxed);
   n_synced_bytes_.fetch_add(flushing_.size(), std::memory_order_relaxed);
   flushing_.clear();
@@ -296,6 +377,9 @@ WalStats WalManager::stats() const {
   s.sync_failures = n_sync_failures_.load(std::memory_order_relaxed);
   s.synced_bytes = n_synced_bytes_.load(std::memory_order_relaxed);
   s.waiter_wakeups = n_waiter_wakeups_.load(std::memory_order_relaxed);
+  s.holds = n_holds_.load(std::memory_order_relaxed);
+  s.holds_filled = n_holds_filled_.load(std::memory_order_relaxed);
+  s.hold_us = n_hold_ns_.load(std::memory_order_relaxed) / 1000;
   s.segments = segments_.segment_count();
   s.truncated_segments =
       n_truncated_segments_.load(std::memory_order_relaxed);

@@ -2,6 +2,7 @@
 #define PITREE_WAL_WAL_MANAGER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -29,6 +30,11 @@ struct WalStats {
   uint64_t sync_failures = 0;   // write or sync attempts that failed
   uint64_t synced_bytes = 0;    // bytes made durable by successful batches
   uint64_t waiter_wakeups = 0;  // parked force waiters released durable
+  // Batch former (DESIGN.md §10): a commit-led batch short of the expected
+  // number of commit forces is held open, up to a cap, for the rest.
+  uint64_t holds = 0;         // batches a leader held open for more commits
+  uint64_t holds_filled = 0;  // holds that reached the expected count in time
+  uint64_t hold_us = 0;       // total time leaders spent holding
   uint64_t segments = 0;            // live segment files
   uint64_t truncated_segments = 0;  // segment files deleted by TruncateBelow
   uint64_t wal_disk_bytes = 0;      // sum of live segment file sizes
@@ -51,13 +57,24 @@ struct WalStats {
 ///  1. *Append* encodes the record outside the mutex, then under a short
 ///     critical section reserves the next LSN and copies the framed bytes
 ///     into the in-memory active segment. Appenders never touch the file.
-///  2. *Force* (Flush / FlushAll) parks the caller until its bytes are
-///     durable. The first waiter is elected leader: it optionally sleeps a
-///     group-commit window so later commits can join, swaps the active
-///     segment into the flushing slot, and performs Write+Sync with the
-///     mutex dropped (debug builds assert this at the I/O sites). Followers
-///     wait on a condition variable holding no latches or locks — one sync
-///     releases every commit whose record made the batch.
+///  2. *Force* (Flush / FlushCommit / FlushAll) parks the caller until its
+///     bytes are durable. The first waiter is elected leader: it swaps the
+///     active segment into the flushing slot and performs Write+Sync with
+///     the mutex dropped (debug builds assert this at the I/O sites).
+///     Followers wait on a condition variable holding no latches or locks —
+///     one sync releases every commit whose record made the batch.
+///
+/// *Batch former.* A leader that is a user commit (FlushCommit) may first
+/// hold its batch open, mutex dropped, until the batch has as many commit
+/// forces as the largest of the last kBatchHistory batches, or until a cap
+/// of a quarter of the measured Write+Sync time passes. A batch's size is
+/// the commit forces it carried, plus, for a batch of two or more, those
+/// that parked behind it while it was on the device. A lone committer
+/// therefore never holds. Closed-loop committers that once share a batch
+/// keep sharing it, one sync per round, instead of alternating batches of
+/// one. Every other force (WAL-before-data, FlushAll, checkpoints) leads at
+/// once and ends a hold in progress; kTimedOutHoldsToReset timed-out holds
+/// in a row reset the expectation.
 ///
 /// While a leader's batch is in flight, appends keep filling the fresh
 /// active segment (double buffering): the next leader picks them up without
@@ -84,13 +101,9 @@ class WalManager {
   WalManager& operator=(const WalManager&) = delete;
 
   /// Opens/creates the log's segment chain and positions the append point
-  /// after the last complete record. `group_commit_window_us` is how long
-  /// an elected leader waits for more commits before syncing (0 = sync
-  /// immediately when a waiter exists). `segment_bytes` is the roll
-  /// threshold (0 = kDefaultWalSegmentBytes).
-  Status Open(Env* env, const std::string& path,
-              uint64_t group_commit_window_us = 0,
-              uint64_t segment_bytes = 0);
+  /// after the last complete record. `segment_bytes` is the roll threshold
+  /// (0 = kDefaultWalSegmentBytes).
+  Status Open(Env* env, const std::string& path, uint64_t segment_bytes = 0);
 
   /// Transaction-state publication performed *inside* Append's critical
   /// section, right after the LSN is assigned. Checkpointing depends on
@@ -125,6 +138,11 @@ class WalManager {
   /// group-commit pipeline; the caller must hold no page latches (§4.1
   /// No-Wait Rule — commit waiters sleep lock-free).
   Status Flush(Lsn lsn);
+
+  /// Flush for a user transaction's commit record. The only force that
+  /// counts toward a batch's size or may hold a batch open (see the batch
+  /// former above); the same No-Wait precondition applies.
+  Status FlushCommit(Lsn lsn);
 
   /// Makes everything appended so far durable (same force path as Flush).
   Status FlushAll();
@@ -186,9 +204,28 @@ class WalManager {
   WalStats stats() const;
 
  private:
+  /// Batches whose sizes set the batch former's expected commit count.
+  static constexpr int kBatchHistory = 16;
+  /// Consecutive timed-out holds after which that expectation is dropped.
+  /// Two already lose part of the gain on closed-loop writers whose rounds
+  /// sometimes run past the cap (a split, a lock wait); never resetting
+  /// lets a chance pairing of unrelated commits cost up to 16 futile holds.
+  static constexpr int kTimedOutHoldsToReset = 4;
+
   /// The single force path: blocks until durable_ >= `upto` (clamped to the
   /// append point), electing this thread leader when no batch is in flight.
-  Status WaitUntilDurable(Lsn upto);
+  /// `commit` marks a user commit's force (FlushCommit).
+  Status WaitUntilDurable(Lsn upto, bool commit);
+
+  /// Number of commit forces a commit-led batch should hold for, or 0 when
+  /// it should sync at once: no sync timed yet, a non-commit force waiting,
+  /// or as many commits already joined as recent batches had.
+  uint32_t HoldTargetLocked() const REQUIRES(mu_);
+
+  /// Spins, yielding, until `target` commit forces have joined the forming
+  /// batch, a non-commit force waits on it, or `cap` passes. Reads only
+  /// atomics: the caller has dropped the append mutex.
+  void SpinForCommits(uint32_t target, std::chrono::nanoseconds cap) const;
 
   /// Leader body: swaps the active segment in if the flushing slot is empty,
   /// drops mu_, performs Write+Sync, re-locks, and publishes durability (or
@@ -203,7 +240,6 @@ class WalManager {
   Status DoSync();
 
   WalSegmentSet segments_;
-  uint64_t window_us_ GUARDED_BY(mu_) = 0;
   uint64_t segment_bytes_ GUARDED_BY(mu_) = kDefaultWalSegmentBytes;
 
   /// The append mutex, ranked kWalMutex — the leaf of the whole acquisition
@@ -234,6 +270,22 @@ class WalManager {
   uint64_t error_epoch_ GUARDED_BY(mu_) = 0;
   Status last_error_ GUARDED_BY(mu_);
 
+  // Batch former state. The forming batch is active_: commit forces whose
+  // bytes lie in it enrol in forming_commits_, and a non-commit force sets
+  // forming_urgent_; the swap into flushing_ moves the count to
+  // batch_commits_ and clears both. Those two are atomics, written under
+  // mu_, only so a holding leader can spin on them with mu_ dropped.
+  std::atomic<uint32_t> forming_commits_{0};
+  std::atomic<bool> forming_urgent_{false};
+  uint32_t batch_commits_ GUARDED_BY(mu_) = 0;
+  /// Ring of the commit-force counts of recent successful batches.
+  uint32_t batch_sizes_[kBatchHistory] GUARDED_BY(mu_) = {};
+  int batch_slot_ GUARDED_BY(mu_) = 0;
+  int timed_out_holds_ GUARDED_BY(mu_) = 0;  // consecutive
+  /// Moving average (1/8 weight) of successful Write+Sync time; the hold
+  /// cap is a quarter of it.
+  uint64_t sync_ns_avg_ GUARDED_BY(mu_) = 0;
+
   std::atomic<Lsn> durable_{0};  // all bytes below are synced
   std::atomic<Lsn> next_{0};     // LSN the next append assigns
   std::atomic<Lsn> floor_{0};    // first LSN still backed by a segment
@@ -246,6 +298,9 @@ class WalManager {
   std::atomic<uint64_t> n_sync_failures_{0};
   std::atomic<uint64_t> n_synced_bytes_{0};
   std::atomic<uint64_t> n_waiter_wakeups_{0};
+  std::atomic<uint64_t> n_holds_{0};
+  std::atomic<uint64_t> n_holds_filled_{0};
+  std::atomic<uint64_t> n_hold_ns_{0};
   std::atomic<uint64_t> n_truncated_segments_{0};
 };
 

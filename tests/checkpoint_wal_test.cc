@@ -73,7 +73,7 @@ TEST(WalSegmentsTest, HeaderCodecRejectsDamage) {
 TEST(WalSegmentsTest, RollsAtBatchBoundariesAndReadsAcross) {
   SimEnv env;
   WalManager wal;
-  ASSERT_TRUE(wal.Open(&env, "wal", 0, /*segment_bytes=*/256).ok());
+  ASSERT_TRUE(wal.Open(&env, "wal", /*segment_bytes=*/256).ok());
 
   // Force after every few appends so rolls (which happen only at durable
   // batch boundaries) actually trigger while the log grows past several
@@ -111,7 +111,7 @@ TEST(WalSegmentsTest, RollsAtBatchBoundariesAndReadsAcross) {
 
   // A reopen discovers the same chain and the same append point.
   WalManager wal2;
-  ASSERT_TRUE(wal2.Open(&env, "wal", 0, 256).ok());
+  ASSERT_TRUE(wal2.Open(&env, "wal", 256).ok());
   EXPECT_EQ(wal2.next_lsn(), wal.next_lsn());
   EXPECT_EQ(wal2.stats().segments, st.segments);
   ASSERT_TRUE(wal2.ReadRecord(lsns.front(), &rec).ok());
@@ -121,7 +121,7 @@ TEST(WalSegmentsTest, RollsAtBatchBoundariesAndReadsAcross) {
 TEST(WalSegmentsTest, TruncateBelowDeletesOnlyWholeDeadSegments) {
   SimEnv env;
   WalManager wal;
-  ASSERT_TRUE(wal.Open(&env, "wal", 0, /*segment_bytes=*/256).ok());
+  ASSERT_TRUE(wal.Open(&env, "wal", /*segment_bytes=*/256).ok());
   std::vector<Lsn> lsns;
   for (int i = 0; i < 60; ++i) {
     Lsn lsn;
@@ -172,7 +172,7 @@ TEST(WalSegmentsTest, TruncateBelowDeletesOnlyWholeDeadSegments) {
 
   // The floor survives a reopen (hint file), and the log keeps appending.
   WalManager wal2;
-  ASSERT_TRUE(wal2.Open(&env, "wal", 0, 256).ok());
+  ASSERT_TRUE(wal2.Open(&env, "wal", 256).ok());
   EXPECT_EQ(wal2.floor_lsn(), wal.floor_lsn());
   EXPECT_EQ(wal2.next_lsn(), wal.next_lsn());
   EXPECT_TRUE(wal2.ReadRecord(lsns.front(), &rec).IsNotFound());
@@ -186,7 +186,7 @@ TEST(WalSegmentsTest, TruncateBelowDeletesOnlyWholeDeadSegments) {
 TEST(WalSegmentsTest, TruncationIsClampedToDurableAndKeepsActive) {
   SimEnv env;
   WalManager wal;
-  ASSERT_TRUE(wal.Open(&env, "wal", 0, /*segment_bytes=*/256).ok());
+  ASSERT_TRUE(wal.Open(&env, "wal", /*segment_bytes=*/256).ok());
   for (int i = 0; i < 30; ++i) {
     Lsn lsn;
     ASSERT_TRUE(wal.Append(MakeUpdate(7, 0, i, std::string(40, 'x')), &lsn)

@@ -436,6 +436,66 @@ TEST_F(WalTest, FailedSyncReleasesParkedWaitersWithError) {
   EXPECT_EQ(rec.type, LogRecordType::kCommit);
 }
 
+// The same failure semantics for a batch the batch former held open: every
+// committer parked on it gets the error, nothing is marked durable, and the
+// next force retries the staged batch from the same offset.
+TEST_F(WalTest, FailedSyncOfHeldBatchFailsEveryParkedCommitter) {
+  env_.set_sync_delay_us(100000);  // a quarter of it caps the hold
+  FaultPlan plan;
+  env_.InstallFaultPlan(&plan);
+  // Sync 0 is a plain force; sync 1 carries c1 and c2 together; sync 2 is
+  // the held batch, and fails.
+  plan.FailNth(FaultOp::kSync, plan.sync_points() + 2,
+               Status::IOError("injected: fsync of held batch"));
+  auto commit = [&](TxnId txn, Lsn* lsn, Status* s) {
+    *s = wal_.Append(MakeCommit(txn, 0), lsn);
+    if (s->ok()) *s = wal_.FlushCommit(*lsn);
+  };
+  auto await = [](auto pred) {
+    while (!pred()) std::this_thread::yield();
+  };
+
+  // c1 and c2 park behind the plain force's sync and share the next batch,
+  // so the former expects two commits; c3 then leads alone and holds, and
+  // c4 joins the held batch.
+  Lsn r, c1, c2, c3, c4;
+  Status s0, s1, s2, s3, s4;
+  ASSERT_TRUE(wal_.Append(MakeBegin(9, false), &r).ok());
+  std::thread t0([&] { s0 = wal_.Flush(r); });
+  await([&] { return wal_.stats().sync_calls == 1; });
+  std::thread t1(commit, 1, &c1, &s1);
+  std::thread t2(commit, 2, &c2, &s2);
+  t0.join();
+  t1.join();
+  t2.join();
+  ASSERT_TRUE(s0.ok() && s1.ok() && s2.ok());
+  ASSERT_EQ(wal_.stats().batches, 2u) << "c1 and c2 must share batch 1";
+  const Lsn durable_before = wal_.durable_lsn();
+  std::thread t3(commit, 3, &c3, &s3);
+  await([&] { return wal_.stats().holds == 1; });
+  std::thread t4(commit, 4, &c4, &s4);
+  t3.join();
+  t4.join();
+
+  EXPECT_TRUE(s3.IsIOError()) << s3.ToString();
+  EXPECT_TRUE(s4.IsIOError()) << s4.ToString();
+  EXPECT_EQ(wal_.durable_lsn(), durable_before);
+  WalStats st = wal_.stats();
+  EXPECT_EQ(st.holds, 1u);
+  EXPECT_EQ(st.holds_filled, 1u) << "c4 must have joined the held batch";
+  EXPECT_EQ(st.sync_failures, 1u);
+
+  // One-shot fault: the retry drains the staged batch with both commits.
+  ASSERT_TRUE(wal_.FlushCommit(c4).ok());
+  EXPECT_EQ(wal_.durable_lsn(), wal_.next_lsn());
+  EXPECT_EQ(wal_.stats().holds, 1u) << "a retry of a staged batch never holds";
+  LogRecord rec;
+  for (Lsn lsn : {c3, c4}) {
+    ASSERT_TRUE(wal_.ReadRecord(lsn, &rec).ok());
+    EXPECT_EQ(rec.type, LogRecordType::kCommit);
+  }
+}
+
 TEST_F(WalTest, SeekSupportsChainWalking) {
   Lsn a, b, c;
   ASSERT_TRUE(wal_.Append(MakeBegin(3, true), &a).ok());
