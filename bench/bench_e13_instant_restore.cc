@@ -73,7 +73,6 @@ RunResult RunOnce(bool instant, uint64_t n) {
   uint64_t wal_bytes = 0;
   {
     Options opts;
-    opts.inline_completion = true;
     opts.buffer_pool_pages = 8192;
     std::unique_ptr<Database> db;
     if (!Database::Open(opts, &env, "db", &db).ok()) abort();
@@ -98,7 +97,6 @@ RunResult RunOnce(bool instant, uint64_t n) {
   env.set_read_delay_us(kReadDelayUs);
   FaultPlan reads;
   Options opts;
-  opts.inline_completion = true;
   opts.buffer_pool_pages = 1024;
   opts.instant_restore = instant;
   opts.recovery_sweeper = instant;

@@ -66,7 +66,6 @@ RunResult RunOnce(bool checkpointer, uint64_t n) {
   r.commits = n;
   {
     Options opts;
-    opts.inline_completion = true;
     opts.buffer_pool_pages = 256;
     opts.wal_segment_bytes = kWalSegmentBytes;
     if (checkpointer) {
@@ -103,7 +102,6 @@ RunResult RunOnce(bool checkpointer, uint64_t n) {
   // much log the crash image makes it scan, not the restore strategy.
   env.set_read_delay_us(kReadDelayUs);
   Options opts;
-  opts.inline_completion = true;
   opts.buffer_pool_pages = 1024;
   std::unique_ptr<Database> db;
   RecoveryStats stats;

@@ -11,6 +11,8 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "harness/abandon.h"
+#include "harness/held_jobs.h"
 
 namespace pitree {
 namespace bench {
@@ -23,20 +25,20 @@ struct Result {
   double recovery_ms;
   uint64_t analyzed, redone, undone, losers;
   uint64_t completions_after;
+  bool well_formed;
 };
 
 Result RunOnce(uint64_t inserts, bool defer_postings) {
   Options opts;
   opts.buffer_pool_pages = 8192;
-  // Deferring postings to a background queue that no worker ever drains
-  // leaves every split incomplete — the maximal population of intermediate
-  // states.
-  opts.inline_completion = !defer_postings;
-  opts.maintenance_workers = 0;
 
   SimEnv env;
   std::unique_ptr<Database> db;
   Database::Open(opts, &env, "bench", &db).ok();
+  // Holding back every completing action, and never running one, leaves
+  // every split incomplete — the maximal population of intermediate states.
+  harness::HeldJobs held;
+  if (defer_postings) db->context()->completion_sink = &held;
   PiTree* tree = nullptr;
   db->CreateIndex("t", &tree).ok();
   std::string value(kValueSize, 'v');
@@ -49,7 +51,7 @@ Result RunOnce(uint64_t inserts, bool defer_postings) {
   uint64_t posted = tree->stats().posts_performed.load();
   db->context()->wal->FlushAll().ok();
   env.Crash();
-  db.release();  // abandoned by the crash
+  harness::AbandonDatabase(db);  // a crash runs no destructors
 
   Result r;
   r.unposted = splits - posted;
@@ -59,7 +61,6 @@ Result RunOnce(uint64_t inserts, bool defer_postings) {
   std::unique_ptr<Database> db2;
   Options opts2;
   opts2.buffer_pool_pages = 8192;
-  opts2.inline_completion = true;
   Database::Open(opts2, &env, "bench", &db2, &stats).ok();
   r.recovery_ms = t.ElapsedMillis();
   r.analyzed = stats.records_analyzed;
@@ -81,6 +82,7 @@ Result RunOnce(uint64_t inserts, bool defer_postings) {
   r.completions_after = tree2->stats().posts_performed.load();
   std::string report;
   Status wf = tree2->CheckWellFormed(&report);
+  r.well_formed = wf.ok();
   if (!wf.ok()) {
     printf("WELL-FORMEDNESS FAILURE: %s\n", report.c_str());
   }
@@ -102,10 +104,13 @@ int main() {
   PrintRow({"inserts", "unposted", "recovery_ms", "analyzed", "redone",
             "undone", "losers", "posts_after"},
            {10, 10, 12, 10, 10, 8, 8, 12});
+  bool shape_ok = true;
   for (uint64_t inserts : {5000u, 10000u, 20000u}) {
     // Same log volume, two extremes of in-flight SMO population.
     Result complete = RunOnce(inserts, /*defer_postings=*/false);
     Result incomplete = RunOnce(inserts, /*defer_postings=*/true);
+    shape_ok = shape_ok && complete.well_formed && incomplete.well_formed &&
+               incomplete.unposted > 0 && incomplete.completions_after > 0;
     PrintRow({FmtU(inserts), FmtU(complete.unposted),
               Fmt(complete.recovery_ms, 2), FmtU(complete.analyzed),
               FmtU(complete.redone), FmtU(complete.undone),
@@ -120,5 +125,10 @@ int main() {
   printf("\nExpected shape: for equal insert counts, recovery_ms is "
          "essentially equal\nwhether 0 or hundreds of splits are unposted; "
          "posts_after absorbs the\ndeferred completions.\n");
+  if (!shape_ok) {
+    printf("SHAPE FAILED: a deferred run left no split unposted, completed "
+           "none after recovery,\nor a recovered tree is not well formed\n");
+    return 1;
+  }
   return 0;
 }

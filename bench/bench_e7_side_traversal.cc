@@ -1,11 +1,12 @@
 // Experiment E7 — §3.1/§5.1: the cost of intermediate states. Delayed
 // index-term posting makes searches cross side pointers; completion restores
-// direct paths. We populate a tree with completion disabled (every split
-// unposted), measure side traversals per search, then let completion run
-// and measure again.
+// direct paths. We populate a tree with every completing action held back
+// (every split unposted), measure side traversals per search, then run the
+// held actions and measure again.
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "harness/held_jobs.h"
 
 namespace pitree {
 namespace bench {
@@ -47,13 +48,10 @@ int main() {
   printf("E7: sibling traversals from delayed postings, before and after "
          "completion (§5.1)\n\n");
 
-  Options opts;
-  opts.inline_completion = false;  // postings pile up in the queue
-  // No workers either: completions must pile up untouched, and none may be
-  // shed for capacity (the "after" phase drains every one of them).
-  opts.maintenance_workers = 0;
-  opts.maintenance_queue_capacity = 0;
-  BenchDb bdb(opts);
+  BenchDb bdb;
+  // Postings pile up unrun; the "after" phase runs every one of them.
+  harness::HeldJobs held;
+  bdb.db->context()->completion_sink = &held;
   PiTree* tree = nullptr;
   bdb.db->CreateIndex("t", &tree).ok();
   std::string value(kValueSize, 'v');
@@ -76,9 +74,11 @@ int main() {
             Fmt(before.us_per_search, 2)},
            {26, 24, 12});
 
-  // Run the deferred completing actions (the searches above also scheduled
-  // re-postings; Drain executes everything queued).
-  bdb.db->maintenance()->Drain();
+  // Run the held completing actions (the searches above held back
+  // re-postings too). With the sink removed, a posting that splits an index
+  // node completes that split inline.
+  bdb.db->context()->completion_sink = nullptr;
+  for (auto& [t, job] : held.TakeAll()) t->ExecuteJob(job).ok();
   Phase after = MeasureSearches(bdb.db.get(), tree, kKeySpace);
   PrintRow({"after completion", Fmt(after.side_per_search, 3),
             Fmt(after.us_per_search, 2)},
@@ -90,5 +90,10 @@ int main() {
          "completion;\nsearch cost improves accordingly. Searches remain "
          "CORRECT in both phases —\nintermediate states are well-formed "
          "(§2.1.3).\n");
+  if (before.side_per_search <= 1 || after.side_per_search != 0) {
+    printf("SHAPE FAILED: expected > 1 side traversal per search before "
+           "completion and 0 after\n");
+    return 1;
+  }
   return 0;
 }

@@ -59,44 +59,6 @@ struct Options {
   /// logical and every structure change is an independent atomic action.
   bool page_oriented_undo = false;
 
-  /// When true, completing atomic actions (index-term postings and
-  /// consolidations detected during traversals, §5.1) run synchronously at
-  /// the end of the triggering operation; when false they are queued for
-  /// the background completion thread.
-  bool inline_completion = true;
-
-  /// Background maintenance worker threads (and job-queue shards — one
-  /// queue per worker so same-page jobs stay ordered). 0 means no workers:
-  /// jobs queue up until someone calls Drain (benchmarks use this to model
-  /// arbitrarily deferred completion). Ignored in inline mode.
-  size_t maintenance_workers = 1;
-
-  /// Per-shard bound on queued maintenance jobs; beyond it jobs are dropped
-  /// (safe: a dropped hint is re-detected by the next traversal, §5.1).
-  /// 0 = unbounded.
-  size_t maintenance_queue_capacity = 1024;
-
-  /// Collapse a submitted job into an already-queued duplicate with the same
-  /// (kind, level, address). Idempotence (§5.1) makes this free.
-  bool maintenance_dedup = true;
-
-  /// Extra attempts for a maintenance job that terminates on a latch/lock
-  /// conflict, with exponential backoff starting at
-  /// maintenance_retry_backoff_us.
-  size_t maintenance_retry_limit = 3;
-  size_t maintenance_retry_backoff_us = 50;
-
-  /// Period of the low-priority maintenance sweep (idle consolidation
-  /// scanning + online well-formedness auditing). 0 disables the sweeper;
-  /// MaintenanceService::RunSweepTasksOnce still triggers sweeps manually.
-  size_t maintenance_sweep_interval_ms = 0;
-
-  /// Data nodes examined per tree per sweep by the consolidation scanner.
-  size_t maintenance_sweep_batch = 64;
-
-  /// Root-to-leaf paths sampled per tree per sweep by the auditor.
-  size_t maintenance_audit_sample = 8;
-
   /// A node whose live payload falls below this percentage of usable space
   /// is a consolidation candidate (§3.3).
   size_t min_node_utilization_pct = 20;

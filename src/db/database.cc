@@ -81,15 +81,6 @@ Status Database::Init(const Options& options, Env* env,
       env, &wal_, pool_.get(), txns_.get(), name + ".master", oracle_.get(),
       recovery_map_.get());
 
-  maintenance_ = std::make_unique<MaintenanceService>(options);
-  ctx_.maintenance = maintenance_.get();
-  maintenance_->set_executor([this](const CompletionJob& job) {
-    return TreeAt(job.tree_root)->ExecuteJob(job);
-  });
-  maintenance_->RegisterSweepTask("consolidation-scan",
-                                  [this] { SweepConsolidationTask(); });
-  maintenance_->RegisterSweepTask("wellformed-audit", [this] { AuditTask(); });
-
   // Crash recovery (a no-op for a fresh database with an empty log).
   if (options.instant_restore) {
     // Instant restore (DESIGN.md §13): analysis builds the per-page redo
@@ -158,10 +149,6 @@ Status Database::Init(const Options& options, Env* env,
   }
 
   catalog_ = std::make_unique<PiTree>(&ctx_, kCatalogPage);
-  if (!options.inline_completion ||
-      options.maintenance_sweep_interval_ms > 0) {
-    maintenance_->Start();
-  }
   if (options.instant_restore && options.recovery_sweeper &&
       recovery_map_->pending_pages() > 0) {
     recovery_sweeper_ = std::thread([this] { RecoverySweepLoop(); });
@@ -185,10 +172,6 @@ Database::~Database() {
   StopCheckpointer();
   sweeper_stop_.store(true, std::memory_order_relaxed);
   if (recovery_sweeper_.joinable()) recovery_sweeper_.join();
-  // Stop drains every queued completing action before joining the workers:
-  // a clean shutdown finishes scheduled maintenance instead of losing it.
-  // (Null when Init failed before constructing the service.)
-  if (maintenance_ != nullptr) maintenance_->Stop();
   // Best-effort clean shutdown; recovery handles anything missed.
   (void)wal_.FlushAll();
 }
@@ -461,57 +444,8 @@ void Database::CheckpointLoop() {
 }
 
 Status Database::FlushAll() {
-  // Finish queued completing actions first so their effects are in the
-  // flushed image (they are hints, but a clean shutdown should not shed
-  // scheduled work onto the next incarnation's traversals).
-  maintenance_->Drain();
   PITREE_RETURN_IF_ERROR(wal_.FlushAll());
   return pool_->FlushAll();
-}
-
-std::vector<PiTree*> Database::SnapshotTrees() {
-  std::vector<PiTree*> out;
-  out.push_back(catalog_.get());
-  MutexLock lk(&trees_mu_);
-  for (auto& [root, tree] : trees_) out.push_back(tree.get());
-  return out;
-}
-
-void Database::SweepConsolidationTask() {
-  if (!ctx_.options.consolidation_enabled) return;
-  const size_t batch = ctx_.options.maintenance_sweep_batch;
-  if (batch == 0) return;
-  for (PiTree* tree : SnapshotTrees()) {
-    std::string cursor;
-    {
-      MutexLock lk(&maint_mu_);
-      cursor = sweep_cursors_[tree->root()];
-    }
-    size_t examined = 0, scheduled = 0;
-    tree->SweepForConsolidation(batch, &cursor, &examined, &scheduled).ok();
-    maintenance_->NoteSweep(examined, scheduled);
-    MutexLock lk(&maint_mu_);
-    sweep_cursors_[tree->root()] = cursor;
-  }
-}
-
-void Database::AuditTask() {
-  const size_t samples = ctx_.options.maintenance_audit_sample;
-  for (PiTree* tree : SnapshotTrees()) {
-    for (size_t i = 0; i < samples; ++i) {
-      std::string key;
-      {
-        MutexLock lk(&maint_mu_);
-        for (int b = 0; b < 8; ++b) {
-          key.push_back(static_cast<char>('a' + audit_rnd_.Uniform(26)));
-        }
-      }
-      size_t nodes = 0;
-      std::string report;
-      Status s = tree->AuditPath(key, &nodes, &report);
-      maintenance_->NoteAudit(1, nodes, s.ok() ? 0 : 1, report);
-    }
-  }
 }
 
 }  // namespace pitree

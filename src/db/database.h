@@ -9,12 +9,10 @@
 
 #include "common/mutex.h"
 #include "common/options.h"
-#include "common/random.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "engine/engine_context.h"
 #include "env/env.h"
-#include "maintenance/maintenance_service.h"
 #include "mvcc/snapshot.h"
 #include "mvcc/timestamp_oracle.h"
 #include "pitree/pi_tree.h"
@@ -118,8 +116,7 @@ class Database {
   /// abandoning a database (SimEnv::Crash + release) so no detached thread
   /// keeps mutating the post-crash environment they are about to verify.
   void StopCheckpointer();
-  /// Drains pending background maintenance, then flushes WAL and all dirty
-  /// pages (clean shutdown helper).
+  /// Flushes WAL and all dirty pages (clean shutdown helper).
   Status FlushAll();
 
   EngineContext* context() { return &ctx_; }
@@ -129,9 +126,6 @@ class Database {
   /// Group-commit WAL counters (appends / batches / syncs / waiter
   /// wakeups); a lock-free snapshot that never contends with appenders.
   WalStats wal_stats() const { return wal_.stats(); }
-  /// The background scheduler for all structure-maintenance work: sharded
-  /// completion queues, the consolidation sweeper, and the online auditor.
-  MaintenanceService* maintenance() { return maintenance_.get(); }
 
  private:
   Database() = default;
@@ -140,10 +134,6 @@ class Database {
   PiTree* TreeAt(PageId root);
   TsbTree* TsbAt(PageId root);
   Status LookupCatalog(const std::string& name, PageId* root, uint8_t* type);
-  /// All open Π-trees (catalog included) — the sweep tasks' working set.
-  std::vector<PiTree*> SnapshotTrees();
-  void SweepConsolidationTask();
-  void AuditTask();
   /// Background lazy-redo drain: fetches pending pages in id order so the
   /// recovery map empties even on a read-light workload.
   void RecoverySweepLoop();
@@ -163,7 +153,6 @@ class Database {
   std::unique_ptr<TxnManager> txns_;
   std::unique_ptr<RecoveryManager> recovery_;
   std::unique_ptr<CheckpointManager> checkpoints_;
-  std::unique_ptr<MaintenanceService> maintenance_;
   std::unique_ptr<PiTree> catalog_;
 
   Mutex trees_mu_;
@@ -171,11 +160,6 @@ class Database {
       GUARDED_BY(trees_mu_);
   std::unordered_map<PageId, std::unique_ptr<TsbTree>> tsb_trees_
       GUARDED_BY(trees_mu_);
-
-  Mutex maint_mu_;  // sweep cursors + audit RNG
-  std::unordered_map<PageId, std::string> sweep_cursors_
-      GUARDED_BY(maint_mu_);
-  Random audit_rnd_ GUARDED_BY(maint_mu_){0xA0D17};
 
   std::thread recovery_sweeper_;
   std::atomic<bool> sweeper_stop_{false};

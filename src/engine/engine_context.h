@@ -14,7 +14,7 @@ class LockManager;
 class TxnManager;
 class RecoveryManager;
 class RecoveryMap;
-class MaintenanceService;
+class CompletionSink;
 class TimestampOracle;
 
 /// Non-owning bundle of the engine's managers, passed to every component
@@ -27,7 +27,10 @@ struct EngineContext {
   LockManager* locks = nullptr;
   TxnManager* txns = nullptr;
   RecoveryManager* recovery = nullptr;
-  MaintenanceService* maintenance = nullptr;
+  /// Null in the engine: Π-tree operations run the completing actions they
+  /// gather (§5.1) themselves. A test or experiment that sets it, before any
+  /// tree operation, receives those jobs instead (pitree/completion.h).
+  CompletionSink* completion_sink = nullptr;
   /// MVCC timestamp authority (mvcc/timestamp_oracle.h). When set, TSB-tree
   /// version times are drawn from it so snapshots, version timestamps, and
   /// commit timestamps share one timeline; null for standalone components.

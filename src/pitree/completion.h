@@ -1,22 +1,16 @@
 #ifndef PITREE_PITREE_COMPLETION_H_
 #define PITREE_PITREE_COMPLETION_H_
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
-#include <thread>
-#include <unordered_set>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/status.h"
-#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "pitree/path.h"
 
 namespace pitree {
+
+class PiTree;
 
 /// A completing atomic action scheduled during normal processing (§5.1):
 /// either the posting of an index term for a node reached via a side
@@ -26,98 +20,24 @@ namespace pitree {
 struct CompletionJob {
   enum class Kind : uint8_t { kPostIndexTerm, kConsolidate };
   Kind kind = Kind::kPostIndexTerm;
-  PageId tree_root = kInvalidPageId;
   uint8_t level = 0;       // level where the index term is to be posted, or
                            // the parent level for a consolidation
   PageId address = kInvalidPageId;  // new sibling node / under-utilized node
-  uint8_t attempts = 0;    // retry count (MaintenanceService backoff)
-  std::string key;         // the search key that exposed the work
+  std::string key;         // search key, at or right of `address`'s low key
   SavedPath path;          // remembered path (verified before trust, §5.2)
 };
 
-/// Queue of completing atomic actions with an optional background worker.
-/// In inline mode (Options::inline_completion) trees execute their own
-/// pending jobs at the end of each operation and this queue is bypassed.
-///
-/// Because jobs are hints (§5.1), the queue may both *collapse duplicates*
-/// (two traversals crossing the same unposted side pointer describe the
-/// same work) and *drop* jobs when a capacity bound is hit (the next
-/// traversal to cross the pointer re-detects and re-schedules the work).
-/// Both policies are off by default; MaintenanceService turns them on.
-class CompletionQueue {
+/// Receives the completing actions a Π-tree operation gathered instead of
+/// the operation running them (EngineContext::completion_sink). The engine
+/// never installs one: every operation completes the structure changes it
+/// found before it returns, as §5.1 has the traversal that crosses an
+/// unposted side pointer do. Tests and experiments that need splits left
+/// unposted install one before the first tree operation, and may later run
+/// each job with PiTree::ExecuteJob — once, several times, or never.
+class CompletionSink {
  public:
-  /// Executors return the job's outcome; the queue itself treats every
-  /// outcome as final (retry policy lives in the caller's executor).
-  using Executor = std::function<Status(const CompletionJob&)>;
-
-  /// Outcome of Enqueue under the dedup / capacity policies.
-  enum class Admit : uint8_t { kQueued, kDuplicate, kDropped };
-
-  CompletionQueue() = default;
-  ~CompletionQueue() { StopBackground(); }
-  CompletionQueue(const CompletionQueue&) = delete;
-  CompletionQueue& operator=(const CompletionQueue&) = delete;
-
-  void set_executor(Executor fn) { executor_ = std::move(fn); }
-
-  /// Bounds the number of queued jobs; Enqueue drops beyond it. 0 = no bound.
-  void set_capacity(size_t cap) { capacity_ = cap; }
-
-  /// Suppresses jobs whose (kind, level, address) matches a queued job.
-  void set_dedup(bool on) { dedup_ = on; }
-
-  Admit Enqueue(CompletionJob job);
-
-  /// Runs queued jobs on the calling thread until the queue is empty.
-  void Drain();
-
-  /// Removes and returns every queued job without executing it (benchmarks
-  /// use this to replay completions under controlled conditions; crash
-  /// simulations use it to model the queue's volatility).
-  std::vector<CompletionJob> TakeAll();
-
-  /// Starts/stops a background worker thread that drains continuously.
-  /// StopBackground first drains every queued job on the worker: queued
-  /// completing actions survive a *clean* shutdown (only a crash may lose
-  /// them, which is safe — recovery-time traversals re-detect the work).
-  void StartBackground();
-  void StopBackground();
-
-  uint64_t enqueued_count() const { return enqueued_.load(); }
-  uint64_t executed_count() const { return executed_.load(); }
-  uint64_t deduped_count() const { return deduped_.load(); }
-  uint64_t dropped_count() const { return dropped_.load(); }
-
-  /// Number of jobs currently queued.
-  size_t depth() const;
-
- private:
-  static uint64_t DedupKey(const CompletionJob& job) {
-    return (static_cast<uint64_t>(job.kind) << 40) |
-           (static_cast<uint64_t>(job.level) << 32) |
-           static_cast<uint64_t>(job.address);
-  }
-
-  /// Pops the front job (and its dedup key). False when empty.
-  bool PopFrontLocked(CompletionJob* out) REQUIRES(mu_);
-
-  void WorkerLoop();
-
-  Executor executor_;
-  mutable Mutex mu_;
-  CondVar cv_;
-  std::deque<CompletionJob> queue_ GUARDED_BY(mu_);
-  /// Dedup index over queue_.
-  std::unordered_set<uint64_t> keys_ GUARDED_BY(mu_);
-  std::thread worker_ GUARDED_BY(mu_);
-  bool stop_ GUARDED_BY(mu_) = false;
-  bool worker_running_ GUARDED_BY(mu_) = false;
-  size_t capacity_ = 0;
-  bool dedup_ = false;
-  std::atomic<uint64_t> enqueued_{0};
-  std::atomic<uint64_t> executed_{0};
-  std::atomic<uint64_t> deduped_{0};
-  std::atomic<uint64_t> dropped_{0};
+  virtual ~CompletionSink() = default;
+  virtual void Take(PiTree* tree, std::vector<CompletionJob> jobs) = 0;
 };
 
 }  // namespace pitree

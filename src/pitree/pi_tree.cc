@@ -7,7 +7,6 @@
 #include "analysis/latch_checker.h"
 #include "common/coding.h"
 #include "engine/log_apply.h"
-#include "maintenance/maintenance_service.h"
 #include "storage/epoch.h"
 #include "txn/lock_manager.h"
 #include "txn/txn_manager.h"
@@ -88,7 +87,6 @@ void PiTree::SchedulePosting(OpCtx* op, uint8_t level, PageId from,
   }
   CompletionJob job;
   job.kind = CompletionJob::Kind::kPostIndexTerm;
-  job.tree_root = root_;
   job.level = static_cast<uint8_t>(level + 1);
   job.address = sibling;
   job.key = key.ToString();
@@ -107,7 +105,6 @@ void PiTree::MaybeScheduleConsolidate(OpCtx* op, const NodeRef& node,
   }
   CompletionJob job;
   job.kind = CompletionJob::Kind::kConsolidate;
-  job.tree_root = root_;
   job.level = static_cast<uint8_t>(node.level() + 1);
   job.address = pid;
   job.key = node.low_is_neg_inf() ? std::string()
@@ -397,18 +394,14 @@ void PiTree::FlushPending(OpCtx* op) {
   if (op->pending.empty()) return;
   std::vector<CompletionJob> jobs;
   jobs.swap(op->pending);
-  if (ctx_->options.inline_completion || ctx_->maintenance == nullptr) {
-    for (const auto& job : jobs) {
-      // Completing actions are hints; their failure (e.g. Busy) only delays
-      // optimization of the tree, never correctness (§5.1).
-      (void)ExecuteJob(job);
-    }
-  } else {
-    for (auto& job : jobs) {
-      // Submit may collapse the job into a queued duplicate or drop it for
-      // backpressure; both are safe for a hint (§5.1).
-      ctx_->maintenance->Submit(std::move(job));
-    }
+  if (ctx_->completion_sink != nullptr) {
+    ctx_->completion_sink->Take(this, std::move(jobs));
+    return;
+  }
+  for (const auto& job : jobs) {
+    // Completing actions are hints; their failure (e.g. Busy) only delays
+    // optimization of the tree, never correctness (§5.1).
+    (void)ExecuteJob(job);
   }
 }
 
@@ -728,7 +721,7 @@ Status PiTree::InsertImpl(Transaction* txn, const Slice& key,
         FlushPending(&op);
         return Status::NoSpace("insert requires a structure change");
       }
-      s = SplitLeafForInsert(&op, &d.node, key, &restart);
+      s = SplitLeafForInsert(&op, &d.node, &restart);
       if (!s.ok()) {
         FlushPending(&op);
         return s;
@@ -806,7 +799,7 @@ Status PiTree::Update(Transaction* txn, const Slice& key,
     // In-place update may need more room for a longer value.
     if (value.size() > old_value.size() &&
         !node.CanFit(0, value.size() - old_value.size())) {
-      s = SplitLeafForInsert(&op, &d.node, key, &restart);
+      s = SplitLeafForInsert(&op, &d.node, &restart);
       if (!s.ok()) {
         FlushPending(&op);
         return s;
@@ -948,7 +941,7 @@ Status PiTree::LogicalUndo(Transaction* txn, PageOp undo_op,
           // Re-insertion needs room: run an independent split action
           // (structure changes are legal during rollback, §4.2.1), then
           // retry the undo at the proper node.
-          s = SplitLeafForInsert(&op, &d.node, key, nullptr);
+          s = SplitLeafForInsert(&op, &d.node, nullptr);
           if (!s.ok()) {
             FlushPending(&op);
             return s;

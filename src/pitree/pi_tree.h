@@ -95,8 +95,9 @@ class PiTree {
   Status Scan(Transaction* txn, const Slice& start, size_t limit,
               std::vector<NodeEntry>* out);
 
-  // -- structure-change machinery (public for tests and the completion
-  //    queue; normal callers never invoke these directly) ------------------
+  // -- structure-change machinery (public for tests and experiments that
+  //    hold jobs back through a CompletionSink; normal callers never invoke
+  //    these directly) -----------------------------------------------------
   /// Executes a completing atomic action (§5.1). Idempotent.
   Status ExecuteJob(const CompletionJob& job);
 
@@ -114,22 +115,6 @@ class PiTree {
   /// Structural invariant checker (§2.1.3). Call quiesced. On violation
   /// returns Corruption and, if `report` != nullptr, a description.
   Status CheckWellFormed(std::string* report) const;
-
-  // -- background maintenance entry points (MaintenanceService sweeps) -----
-  /// Idle consolidation scanner (§3.3): walks up to `max_nodes` data nodes
-  /// of the leaf side chain starting at `*cursor` (empty = leftmost) under
-  /// shared latches, scheduling consolidation for under-utilized nodes
-  /// without waiting for a traversal to trip over them. Advances `*cursor`
-  /// to the resume key; clears it when the walk wrapped past the last node.
-  Status SweepForConsolidation(size_t max_nodes, std::string* cursor,
-                               size_t* examined, size_t* scheduled);
-
-  /// Online well-formedness auditor: checks the §2.1.3 invariants along the
-  /// root-to-leaf path for `key` under shared latch coupling, safe against
-  /// live traffic (unlike CheckWellFormed, which requires quiescence).
-  /// Returns Corruption and a description on violation.
-  Status AuditPath(const Slice& key, size_t* nodes_checked,
-                   std::string* report) const;
 
   PageId root() const { return root_; }
   const PiTreeStats& stats() const { return stats_; }
@@ -223,13 +208,13 @@ class PiTree {
 
   /// Leaf-split orchestration for record inserts: picks the independent-
   /// action vs. in-transaction regime (§4.2) and performs the split.
-  Status SplitLeafForInsert(OpCtx* op, PageHandle* leaf, const Slice& key,
-                            bool* restart);
+  Status SplitLeafForInsert(OpCtx* op, PageHandle* leaf, bool* restart);
 
   Status InsertImpl(Transaction* txn, const Slice& key, const Slice& value,
                     bool allow_split);
 
-  /// Runs `op->pending` jobs (inline mode) or hands them to the queue.
+  /// Runs `op->pending` jobs, or hands them to the completion sink when a
+  /// test or experiment installed one.
   void FlushPending(OpCtx* op);
 
   /// Rolls back and ends a failed atomic action. `action_pages` maps pages

@@ -130,9 +130,12 @@ Status PiTree::PostIndexTerm(const CompletionJob& job)
         s = SplitNode(action, d.node, &sib, &pages);
         if (!s.ok()) break;
         // Posting for THIS split is scheduled to the next level once the
-        // action commits (structure changes go one level at a time, §5).
+        // action commits (structure changes go one level at a time, §5),
+        // keyed by its separator so it finds the new sibling whichever
+        // half KEY stayed in.
         NodeRef after(d.node.data());
-        SchedulePosting(&op, after.level(), d.node.id(), sib, job.key);
+        SchedulePosting(&op, after.level(), d.node.id(), sib,
+                        after.high_key());
         if (!after.BelowHigh(job.key)) {
           // Retain the X latch on the half that contains KEY.
           PageHandle nh;

@@ -190,8 +190,7 @@ Status PiTree::GrowRoot(Transaction* txn, PageHandle& root_h,
 // lint:tsa-escape -- atomic-action SMO: latches flow across helpers and
 // error paths; checked by the runtime checker and tools/analyze.
 Status PiTree::SplitLeafForInsert(OpCtx* op, PageHandle* leaf,
-                                  const Slice& key, bool* restart)
-    NO_THREAD_SAFETY_ANALYSIS {
+                                  bool* restart) NO_THREAD_SAFETY_ANALYSIS {
   Transaction* user = op->txn;
   const PageId leaf_pid = leaf->id();
   bool in_txn_split = false;
@@ -299,8 +298,12 @@ Status PiTree::SplitLeafForInsert(OpCtx* op, PageHandle* leaf,
     }
     if (!grew && sibling != kInvalidPageId) {
       // §3.2.1 step 6: schedule the posting of the index term in a
-      // separate atomic action.
-      SchedulePosting(op, /*level=*/0, leaf_pid, sibling, key);
+      // separate atomic action. It searches for the separator (the leaf's
+      // new high key), the one key sure to lie in the new sibling: the
+      // inserting key may have stayed in this half, where the posting
+      // would find no split to complete.
+      SchedulePosting(op, /*level=*/0, leaf_pid, sibling,
+                      NodeRef(leaf->data()).high_key());
     }
   }
   // In-transaction splits (page-oriented undo) schedule nothing: the move

@@ -204,14 +204,12 @@ TEST(AnalysisCheckerTest, LegalProtocolShapesRunClean) {
 // ---------------------------------------------------------------------------
 // Clean-run smoke: a real engine workload with the checker live. The small
 // buffer pool forces eviction (shard mutexes, WAL forces from the pool) and
-// the regimes cover CP/CNS, page-oriented undo, and background maintenance.
+// the regimes cover CP/CNS and page-oriented undo.
 // ---------------------------------------------------------------------------
 
 struct Regime {
   bool consolidation;
   bool page_oriented;
-  bool inline_completion;
-  size_t workers;
   const char* name;
 };
 
@@ -223,10 +221,9 @@ std::string Key(int i) {
 
 TEST(AnalysisCheckerTest, EngineWorkloadRunsCleanUnderChecker) {
   const Regime kRegimes[] = {
-      {true, false, true, 1, "CP_logical_inline"},
-      {false, false, true, 1, "CNS_logical_inline"},
-      {true, true, true, 1, "CP_pageoriented_inline"},
-      {true, false, false, 4, "CP_logical_background"},
+      {true, false, "CP_logical_inline"},
+      {false, false, "CNS_logical_inline"},
+      {true, true, "CP_pageoriented_inline"},
   };
   for (const Regime& r : kRegimes) {
     SCOPED_TRACE(r.name);
@@ -234,8 +231,6 @@ TEST(AnalysisCheckerTest, EngineWorkloadRunsCleanUnderChecker) {
     Options opts;
     opts.consolidation_enabled = r.consolidation;
     opts.page_oriented_undo = r.page_oriented;
-    opts.inline_completion = r.inline_completion;
-    opts.maintenance_workers = r.workers;
     opts.buffer_pool_pages = 64;  // small: exercise eviction + WAL force
     std::unique_ptr<Database> db;
     ASSERT_TRUE(Database::Open(opts, &env, "db", &db).ok());

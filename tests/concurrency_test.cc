@@ -1,11 +1,13 @@
 // Multi-threaded correctness tests: concurrent inserts/searches/deletes with
 // structure changes in flight. The paper's protocol must deliver linearizable
 // record operations, a well-formed tree at quiesce, and no lost updates, in
-// every regime (CP/CNS x page-oriented/logical undo).
+// every regime (CP/CNS x page-oriented/logical undo). Throughout each test an
+// auditor thread checks the §2.1.3 invariants along random live paths.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -17,6 +19,7 @@
 #include "common/random.h"
 #include "db/database.h"
 #include "env/sim_env.h"
+#include "harness/audit_path.h"
 
 namespace pitree {
 namespace {
@@ -30,20 +33,13 @@ std::string Key(int i) {
 struct Regime {
   bool consolidation;
   bool page_oriented;
-  bool inline_completion;
-  size_t workers;
-  size_t sweep_interval_ms;  // 0 = no background sweeper/auditor
   const char* name;
 };
 
 const Regime kRegimes[] = {
-    {true, false, true, 1, 0, "CP_logical_inline"},
-    {false, false, true, 1, 0, "CNS_logical_inline"},
-    {true, true, true, 1, 0, "CP_pageoriented_inline"},
-    {true, false, false, 1, 0, "CP_logical_background"},
-    // Sharded worker pool with the periodic sweep (idle consolidation
-    // scanner + online auditor) racing the foreground traffic.
-    {true, false, false, 4, 2, "CP_logical_pool4_sweep"},
+    {true, false, "CP_logical_inline"},
+    {false, false, "CNS_logical_inline"},
+    {true, true, "CP_pageoriented_inline"},
 };
 
 class ConcurrencyTest : public ::testing::TestWithParam<Regime> {
@@ -52,30 +48,53 @@ class ConcurrencyTest : public ::testing::TestWithParam<Regime> {
     Options opts;
     opts.consolidation_enabled = GetParam().consolidation;
     opts.page_oriented_undo = GetParam().page_oriented;
-    opts.inline_completion = GetParam().inline_completion;
-    opts.maintenance_workers = GetParam().workers;
-    opts.maintenance_sweep_interval_ms = GetParam().sweep_interval_ms;
-    opts.maintenance_audit_sample = 4;
     opts.buffer_pool_pages = 2048;
     ASSERT_TRUE(Database::Open(opts, &env_, "db", &db_).ok());
     ASSERT_TRUE(db_->CreateIndex("t", &tree_).ok());
+    auditor_ = std::thread([this] { AuditLoop(); });
   }
 
-  /// Quiesces background maintenance so CheckWellFormed may run. Also
-  /// asserts the auditor never saw an invariant violation in live traffic.
-  void SettleMaintenance() {
-    if (!GetParam().inline_completion || GetParam().sweep_interval_ms > 0) {
-      db_->maintenance()->Stop();
-      MaintenanceStats ms = db_->maintenance()->StatsSnapshot();
-      EXPECT_EQ(ms.queue_depth, 0u);
-      EXPECT_EQ(ms.audit_violations, 0u)
-          << db_->maintenance()->last_audit_violation();
-    }
+  void TearDown() override { StopAuditor(); }
+
+  /// Stops the live-traffic auditor, so CheckWellFormed may run on a
+  /// quiesced tree, and asserts the auditor saw no invariant violation.
+  void StopAuditor() {
+    if (!auditor_.joinable()) return;
+    audit_stop_.store(true);
+    auditor_.join();
+    EXPECT_GT(audits_, 0u);
+    EXPECT_EQ(audit_violations_, 0u) << first_violation_;
   }
 
   SimEnv env_;
   std::unique_ptr<Database> db_;
   PiTree* tree_ = nullptr;
+
+ private:
+  /// Audits the paths to random keys near the start of each thread's key
+  /// range (Key(t * 100000 + i) below) until stopped.
+  void AuditLoop() {
+    Random rnd(TestSeed(77));
+    do {
+      int k = static_cast<int>(rnd.Uniform(6) * 100000 + rnd.Uniform(3000));
+      size_t nodes = 0;
+      std::string report;
+      Status s = harness::AuditPath(db_->context()->pool, tree_->root(),
+                                    Key(k), &nodes, &report);
+      ++audits_;
+      if (!s.ok() && audit_violations_++ == 0) {
+        first_violation_ = Key(k) + ": " + s.ToString() + "\n" + report;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    } while (!audit_stop_.load());
+  }
+
+  std::thread auditor_;
+  std::atomic<bool> audit_stop_{false};
+  // Written by the auditor thread only; read after it is joined.
+  size_t audits_ = 0;
+  size_t audit_violations_ = 0;
+  std::string first_violation_;
 };
 
 TEST_P(ConcurrencyTest, DisjointRangeInsertersDontInterfere) {
@@ -108,7 +127,7 @@ TEST_P(ConcurrencyTest, DisjointRangeInsertersDontInterfere) {
     });
   }
   for (auto& th : threads) th.join();
-  SettleMaintenance();
+  StopAuditor();
   EXPECT_EQ(failures.load(), 0);
   std::string report;
   ASSERT_TRUE(tree_->CheckWellFormed(&report).ok()) << report;
@@ -234,7 +253,7 @@ TEST_P(ConcurrencyTest, MixedWorkloadModelCheck) {
     });
   }
   for (auto& th : threads) th.join();
-  SettleMaintenance();
+  StopAuditor();
   ASSERT_TRUE(tree_->CheckWellFormed(&report).ok()) << report;
   for (int t = 0; t < kThreads; ++t) {
     for (const auto& [k, v] : models[t]) {
@@ -288,7 +307,7 @@ TEST_P(ConcurrencyTest, ReadersRunDuringSplitStorm) {
   }
   writer.join();
   for (auto& th : readers) th.join();
-  SettleMaintenance();
+  StopAuditor();
   EXPECT_GT(reads.load(), 100);
   std::string report;
   ASSERT_TRUE(tree_->CheckWellFormed(&report).ok()) << report;
@@ -321,7 +340,7 @@ TEST_P(ConcurrencyTest, ConcurrentDeletersAndConsolidation) {
     });
   }
   for (auto& th : threads) th.join();
-  SettleMaintenance();
+  StopAuditor();
   std::string report;
   ASSERT_TRUE(tree_->CheckWellFormed(&report).ok()) << report;
   Transaction* txn = db_->Begin();

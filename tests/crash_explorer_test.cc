@@ -8,8 +8,8 @@
 //
 // The companion FaultInjectionTest cases cover the error-schedule half of
 // the FaultPlan: injected I/O errors must surface as Status values — never
-// silently truncate history — and background workers must shut down sanely
-// when the device under them dies.
+// silently truncate history — and the engine must shut down sanely when
+// the device under it dies.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +23,6 @@
 #include "env/sim_env.h"
 #include "harness/abandon.h"
 #include "harness/fault_harness.h"
-#include "maintenance/maintenance_service.h"
 
 namespace pitree {
 namespace {
@@ -56,6 +55,10 @@ TEST(CrashExplorerTest, EverySyncPointRecoversUnderOracle) {
   size_t clean_states = 0;
   size_t torn_states = 0;
   size_t tearable_points = 0;
+  // Recoveries whose oracle reads crossed a side pointer: the crash image
+  // held a split whose index term the workload had not yet posted.
+  size_t unposted_split_states = 0;
+  uint64_t side_traversals = 0;
 
   for (size_t n = 0; n <= trace.events.size(); ++n) {
     if (n % 25 == 0) {
@@ -67,8 +70,10 @@ TEST(CrashExplorerTest, EverySyncPointRecoversUnderOracle) {
       MaterializeCrashImage(trace.events, n, nullptr, &env);
       ASSERT_TRUE(CheckPostRecoveryOracle(
           &env, trace, cfg,
-          "clean crash after sync point " + std::to_string(n)));
+          "clean crash after sync point " + std::to_string(n),
+          &side_traversals));
       ++clean_states;
+      if (side_traversals > 0) ++unposted_split_states;
     }
     if (n == trace.events.size()) break;
 
@@ -89,14 +94,20 @@ TEST(CrashExplorerTest, EverySyncPointRecoversUnderOracle) {
           &env, trace, cfg,
           "torn write at sync point " + std::to_string(n) +
               ", keep=" + std::to_string(tv.keep_bytes) +
-              (tv.garbage_tail ? "+garbage" : "")));
+              (tv.garbage_tail ? "+garbage" : ""),
+          &side_traversals));
       ++torn_states;
+      if (side_traversals > 0) ++unposted_split_states;
     }
   }
 
   // Every tearable sync point got its >= 2 torn variants (we run 3).
   EXPECT_EQ(torn_states, tearable_points * 3);
   EXPECT_GT(tearable_points, 0u);
+  // The crash-state space must include interrupted structure changes, the
+  // states §5.1 says recovery needs no special measures for.
+  EXPECT_GT(unposted_split_states, 0u)
+      << "no crash image held an unposted split";
 
   // Coverage summary (EXPERIMENTS.md E9 reads these numbers).
   std::cout << "[explorer] seed=" << cfg.seed
@@ -104,7 +115,8 @@ TEST(CrashExplorerTest, EverySyncPointRecoversUnderOracle) {
             << " clean_crash_states=" << clean_states
             << " tearable_points=" << tearable_points
             << " torn_variants=" << torn_states
-            << " recoveries=" << clean_states + torn_states << "\n";
+            << " recoveries=" << clean_states + torn_states
+            << " unposted_split_recoveries=" << unposted_split_states << "\n";
 }
 
 // The online regime (DESIGN.md §13): the same crash-state space, but every
@@ -269,48 +281,14 @@ TEST(FaultInjectionTest, CommitSurfacesInjectedSyncError) {
   ASSERT_TRUE(db->Commit(txn).ok());
 }
 
-// Background workers executing completing actions against a dead device:
-// terminal errors are counted and shed (hints are droppable, §5.1), no
-// retry storm, and Stop() drains and joins instead of hanging.
-TEST(FaultInjectionTest, WorkersShedJobsOnTerminalErrors) {
-  Options opts;
-  opts.maintenance_workers = 2;
-  opts.maintenance_retry_limit = 3;
-  opts.maintenance_retry_backoff_us = 0;
-  MaintenanceService service(opts);
-  service.set_executor([](const CompletionJob&) {
-    return Status::IOError("injected: device gone");
-  });
-  service.Start();
-  for (int i = 0; i < 16; ++i) {
-    CompletionJob job;
-    job.kind = CompletionJob::Kind::kPostIndexTerm;
-    job.address = static_cast<PageId>(100 + i);  // distinct: no dedup
-    job.key = "k" + std::to_string(i);
-    service.Submit(job);
-  }
-  service.Stop();
-
-  MaintenanceStats stats = service.StatsSnapshot();
-  EXPECT_EQ(stats.failed, 16u);
-  EXPECT_EQ(stats.retries, 0u) << "terminal errors must not be retried";
-  EXPECT_EQ(stats.queue_depth, 0u);
-  EXPECT_NE(service.last_failure().find("device gone"), std::string::npos)
-      << service.last_failure();
-}
-
-// Whole-engine version of the above: storage dies mid-run under a live
-// worker pool and a pool small enough to force evictions. Every operation
-// from then on may fail — with the injected Status, not a crash or a hang —
-// and teardown must complete.
+// Storage dies mid-run under a buffer pool small enough to force
+// evictions. Every operation from then on may fail — with the injected
+// Status, not a crash or a hang — and teardown must complete.
 TEST(FaultInjectionTest, DeadDiskShutsDownSanely) {
   SimEnv env;
   FaultPlan plan;
   Options opts;
   opts.fault_plan = &plan;
-  opts.maintenance_workers = 2;
-  opts.inline_completion = false;
-  opts.maintenance_retry_backoff_us = 0;
   opts.buffer_pool_pages = 8;
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(opts, &env, "db", &db).ok());
@@ -347,9 +325,8 @@ TEST(FaultInjectionTest, DeadDiskShutsDownSanely) {
   }
   EXPECT_GT(failed_ops, 0) << "dead disk never surfaced";
 
-  // Teardown drains the worker pool against the dead device; it must
-  // terminate (ctest timeout is the hang detector), shedding whatever
-  // cannot execute.
+  // Teardown flushes the log against the dead device; it must terminate
+  // (ctest timeout is the hang detector).
   db.reset();
 }
 

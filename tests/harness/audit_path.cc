@@ -1,68 +1,20 @@
-// lint:allow-naked-latch -- read-only S sweeps in root-to-leaf /
-// left-to-right order; audited with the protocol checker.
-// Background-maintenance scans over a live tree (MaintenanceService sweep
-// tasks): an idle consolidation scanner that finds under-utilized nodes
-// without waiting for a traversal to trip over them (§3.3), and an online
-// auditor that checks the §2.1.3 well-formedness invariants along live
-// root-to-leaf paths.
-//
-// Both walk under shared latches with parent->child / container->contained
+// The walk holds shared latches with parent->child / container->contained
 // coupling (§4.1.1). Coupling matters for more than deadlock freedom: while
-// the scan holds an S latch on a node, a consolidator cannot take the X
+// the audit holds an S latch on a node, a consolidator cannot take the X
 // latch it needs to absorb that node's sibling or child, so the next hop is
-// always to a still-allocated node and the auditor never reports a false
+// always to a still-allocated node and the audit never reports a false
 // violation against in-flight structure changes.
+
+#include "harness/audit_path.h"
 
 #include <sstream>
 
 #include "common/thread_annotations.h"
-#include "pitree/pi_tree.h"
+#include "pitree/node_page.h"
+#include "storage/page.h"
 
 namespace pitree {
-
-// lint:tsa-escape -- latch spans cross helper boundaries (the descent
-// acquires, this function releases); checked by the runtime checker and
-// tools/analyze.
-Status PiTree::SweepForConsolidation(size_t max_nodes, std::string* cursor,
-                                     size_t* examined, size_t* scheduled)
-    NO_THREAD_SAFETY_ANALYSIS {
-  *examined = 0;
-  *scheduled = 0;
-  if (!ctx_->options.consolidation_enabled || max_nodes == 0) {
-    return Status::OK();
-  }
-
-  OpCtx op;
-  op.txn = nullptr;
-  Slice start = cursor->empty() ? Slice("\0", 1) : Slice(*cursor);
-  Descent d;
-  PITREE_RETURN_IF_ERROR(DescendTo(&op, start, /*target_level=*/0,
-                                   LatchMode::kShared, /*keep_parent=*/false,
-                                   nullptr, &d));
-  PageHandle cur = std::move(d.node);
-  Status s;
-  while (*examined < max_nodes) {
-    NodeRef node(cur.data());
-    ++*examined;
-    MaybeScheduleConsolidate(&op, node, cur.id());
-    if (node.high_is_pos_inf() || node.right_sibling() == kInvalidPageId) {
-      cursor->clear();  // wrapped: the next sweep restarts at the leftmost
-      break;
-    }
-    *cursor = node.high_key().ToString();
-    PageHandle next;
-    s = ctx_->pool->FetchPage(node.right_sibling(), &next);
-    if (!s.ok()) break;
-    next.latch().AcquireS();
-    cur.latch().ReleaseS();
-    cur = std::move(next);
-  }
-  cur.latch().ReleaseS();
-  cur.Reset();
-  *scheduled = op.pending.size();
-  FlushPending(&op);
-  return s;
-}
+namespace harness {
 
 namespace {
 
@@ -116,27 +68,28 @@ void AuditNode(AuditCtx* a, const NodeRef& node, PageId pid) {
 
 }  // namespace
 
-// lint:tsa-escape -- latch spans cross helper boundaries (the descent
-// acquires, this function releases); checked by the runtime checker and
-// tools/analyze.
-Status PiTree::AuditPath(const Slice& key, size_t* nodes_checked,
-                         std::string* report) const NO_THREAD_SAFETY_ANALYSIS {
+// lint:tsa-escape -- latch spans cross handles (each hop acquires the next
+// node's latch, releases the current one and moves the handle); checked by
+// the runtime checker.
+Status AuditPath(BufferPool* pool, PageId root, const Slice& key,
+                 size_t* nodes_checked,
+                 std::string* report) NO_THREAD_SAFETY_ANALYSIS {
   *nodes_checked = 0;
   if (report != nullptr) report->clear();
   AuditCtx a;
 
   PageHandle cur;
-  PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(root_, &cur));
+  PITREE_RETURN_IF_ERROR(pool->FetchPage(root, &cur));
   cur.latch().AcquireS();
   {
     // Invariant 6: an immortal root responsible for the entire space.
-    NodeRef root(cur.data());
-    if (!root.is_root()) AuditFail(&a, root_, "root flag missing");
-    if (!root.low_is_neg_inf() || !root.high_is_pos_inf()) {
-      AuditFail(&a, root_, "root does not cover the whole space");
+    NodeRef rnode(cur.data());
+    if (!rnode.is_root()) AuditFail(&a, root, "root flag missing");
+    if (!rnode.low_is_neg_inf() || !rnode.high_is_pos_inf()) {
+      AuditFail(&a, root, "root does not cover the whole space");
     }
-    if (root.right_sibling() != kInvalidPageId) {
-      AuditFail(&a, root_, "root has a sibling term");
+    if (rnode.right_sibling() != kInvalidPageId) {
+      AuditFail(&a, root, "root has a sibling term");
     }
   }
 
@@ -164,13 +117,11 @@ Status PiTree::AuditPath(const Slice& key, size_t* nodes_checked,
     if (!node.BelowHigh(key)) {
       // Key is delegated: follow the sibling term (inv. 2) and check that
       // the sibling picks up the space exactly at this node's high key.
+      // The sibling is fetched under the container's S latch, so the high
+      // key it is checked against cannot change meanwhile.
       std::string high = node.high_key().ToString();
       PageHandle sib;
-      // Sibling fetch under the container's S latch: the audit must see
-      // the sibling while the high key it is checked against is pinned by
-      // the held latch.
-      // analyze:allow-latch-io -- audit sibling fetch under held S latch
-      s = ctx_->pool->FetchPage(node.right_sibling(), &sib);
+      s = pool->FetchPage(node.right_sibling(), &sib);
       if (!s.ok()) break;
       sib.latch().AcquireS();
       NodeRef snode(sib.data());
@@ -204,12 +155,10 @@ Status PiTree::AuditPath(const Slice& key, size_t* nodes_checked,
       break;
     }
     Slice sep = node.EntryKey(slot);
+    // The child is fetched under the parent's S latch (lock coupling), so
+    // the checked index term cannot change mid-verification.
     PageHandle ch;
-    // Audit descends lock-coupled: the child fetch (possible disk read)
-    // happens under the parent's S latch so the checked index term cannot
-    // change mid-verification.
-    // analyze:allow-latch-io -- lock-coupled audit child fetch
-    s = ctx_->pool->FetchPage(term.child, &ch);
+    s = pool->FetchPage(term.child, &ch);
     if (!s.ok()) break;
     ch.latch().AcquireS();
     NodeRef child(ch.data());
@@ -246,4 +195,5 @@ Status PiTree::AuditPath(const Slice& key, size_t* nodes_checked,
   return Status::OK();
 }
 
+}  // namespace harness
 }  // namespace pitree

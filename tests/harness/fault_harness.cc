@@ -11,6 +11,8 @@
 
 #include "common/random.h"
 #include "db/database.h"
+#include "harness/audit_path.h"
+#include "harness/held_jobs.h"
 #include "recovery/checkpoint.h"
 #include "wal/log_reader.h"
 #include "wal/wal_segments.h"
@@ -55,8 +57,6 @@ Options WorkloadOptions(const ExplorerConfig& cfg) {
   Options opts;
   opts.consolidation_enabled = true;
   opts.page_oriented_undo = false;
-  opts.maintenance_workers = cfg.maintenance_workers;
-  opts.inline_completion = cfg.maintenance_workers == 0;
   opts.checkpoint_interval_ms = cfg.checkpoint_interval_ms;
   opts.checkpoint_log_bytes = cfg.checkpoint_log_bytes;
   opts.wal_segment_bytes = cfg.wal_segment_bytes;
@@ -83,6 +83,11 @@ Options WorkloadOptions(const ExplorerConfig& cfg) {
   Options opts = WorkloadOptions(cfg);
   opts.fault_plan = &plan;
 
+  // The completing actions the operations gather are held, not run
+  // inline, and run at fixed points of the script (run_held below): every
+  // crash image between a split and that point holds an unposted split.
+  // Declared before `db` so it outlives it on every return path.
+  HeldJobs held;
   std::unique_ptr<Database> db;
   Status s = Database::Open(opts, &env, kDbName, &db);
   if (!s.ok()) {
@@ -94,6 +99,15 @@ Options WorkloadOptions(const ExplorerConfig& cfg) {
     return ::testing::AssertionFailure() << "create index: " << s.ToString();
   }
   WalManager* wal = db->context()->wal;
+  db->context()->completion_sink = &held;
+  // Jobs the held ones gather (the posting of an index node's split) are
+  // held in turn, so this runs rounds until none are left.
+  auto run_held = [&held] {
+    for (auto jobs = held.TakeAll(); !jobs.empty(); jobs = held.TakeAll()) {
+      // A hint that fails only leaves its split for a later traversal.
+      for (const auto& [t, job] : jobs) (void)t->ExecuteJob(job);
+    }
+  };
 
   std::mutex trace_mu;
   std::atomic<int> errors{0};
@@ -136,9 +150,8 @@ Options WorkloadOptions(const ExplorerConfig& cfg) {
   const std::string value(110, 'v');
 
   // Concurrent insert phase: each writer owns a disjoint key range and
-  // inserts it in a seed-shuffled order. The volume forces leaf splits, so
-  // index-term postings flow through the background workers while commits
-  // keep forcing the log.
+  // inserts it in a seed-shuffled order. The volume forces leaf splits
+  // whose postings are held while the commits keep forcing the log.
   std::vector<std::thread> writers;
   for (int t = 0; t < cfg.threads; ++t) {
     writers.emplace_back([&, t] {
@@ -159,7 +172,7 @@ Options WorkloadOptions(const ExplorerConfig& cfg) {
   for (auto& th : writers) th.join();
 
   // Committed deletes that hollow out writer 0's low range far below the
-  // utilization threshold, so sweeps and traversals schedule consolidations.
+  // utilization threshold, so traversals schedule consolidations.
   int deletions = std::min(cfg.keys_per_thread, 36);
   for (int i = 0; i < deletions; ++i) {
     if (i % 6 == 5) continue;  // leave stragglers so the range stays live
@@ -167,6 +180,10 @@ Options WorkloadOptions(const ExplorerConfig& cfg) {
     commit_one([&](Transaction* txn) { return tree->Delete(txn, k); }, k,
                true);
   }
+
+  // The held postings and consolidations run here, so their atomic
+  // actions reach the log between the deletes' commits and the checkpoint.
+  run_held();
 
   // A fuzzy checkpoint mid-history: its master-record replacement and
   // page flushes become sync points of their own, and recoveries from
@@ -245,8 +262,11 @@ Options WorkloadOptions(const ExplorerConfig& cfg) {
            << errors.load() << " workload ops failed; last: " << last_error;
   }
 
-  // Clean shutdown: drains maintenance and flushes WAL + dirty pages, all of
-  // which append further events — the explorer crashes inside shutdown too.
+  // Clean shutdown: the jobs still held run, then the database flushes
+  // WAL + dirty pages, all of which append further events — the explorer
+  // crashes inside shutdown too.
+  run_held();
+  db->context()->completion_sink = nullptr;
   db.reset();
 
   out->events = plan.TakeRecording();
@@ -365,7 +385,8 @@ namespace {
                                              const WorkloadTrace& trace,
                                              Lsn prefix_end,
                                              uint64_t max_commit_ts,
-                                             const std::string& label) {
+                                             const std::string& label,
+                                             uint64_t* side_traversals) {
   auto fail = [&label]() {
     return ::testing::AssertionFailure() << label << ": ";
   };
@@ -401,6 +422,7 @@ namespace {
     return fail() << "not well-formed after recovery: " << report;
   }
 
+  const uint64_t side_before = tree->stats().side_traversals.load();
   Transaction* txn = db->Begin();
   size_t checked = 0;
   for (const auto& [key, ops] : trace.committed_ops) {
@@ -431,6 +453,9 @@ namespace {
   }
   s = db->Commit(txn);
   if (!s.ok()) return fail() << "oracle txn commit: " << s.ToString();
+  if (side_traversals != nullptr) {
+    *side_traversals = tree->stats().side_traversals.load() - side_before;
+  }
 
   // §2.1.3 audit along sampled live root-to-leaf paths (AuditPath also
   // works for absent keys: it audits the path to where the key would be).
@@ -439,7 +464,8 @@ namespace {
     (void)ops;
     if (++seen % 17 != 0) continue;
     size_t nodes = 0;
-    Status a = tree->AuditPath(key, &nodes, &report);
+    Status a = AuditPath(db->context()->pool, tree->root(), key, &nodes,
+                         &report);
     if (!a.ok()) {
       return fail() << "AuditPath(" << key << "): " << report;
     }
@@ -460,23 +486,20 @@ namespace {
 
 }  // namespace
 
-::testing::AssertionResult CheckPostRecoveryOracle(SimEnv* env,
-                                                   const WorkloadTrace& trace,
-                                                   const ExplorerConfig& cfg,
-                                                   const std::string& label) {
+::testing::AssertionResult CheckPostRecoveryOracle(
+    SimEnv* env, const WorkloadTrace& trace, const ExplorerConfig& cfg,
+    const std::string& label, uint64_t* side_traversals) {
   const Lsn prefix_end = ValidWalPrefix(env, kWalFile);
   uint64_t max_commit_ts = 0;
   ::testing::AssertionResult audit =
       AuditWalCommitTs(env, prefix_end, &max_commit_ts, label);
   if (!audit) return audit;
 
-  // Recover with inline completion: the oracle's own checks then see a
-  // stable tree without racing background workers. (Crash states produced
-  // under workers must recover under any completion regime — §5.1 hints
-  // carry no durability obligations.)
+  // The recovered database completes structure changes inline, as the
+  // engine always does: a split the crash left unposted is posted by the
+  // first oracle read that crosses its side pointer (§5.1 hints carry no
+  // durability obligations).
   Options opts = WorkloadOptions(cfg);
-  opts.maintenance_workers = 0;
-  opts.inline_completion = true;
   // The oracle's reopen must verify a fixed image deterministically: no
   // background checkpointer mutating the WAL underneath the checks.
   opts.checkpoint_interval_ms = 0;
@@ -487,7 +510,8 @@ namespace {
     return ::testing::AssertionFailure()
            << label << ": recovery failed: " << s.ToString();
   }
-  return VerifyRecoveredDb(db.get(), trace, prefix_end, max_commit_ts, label);
+  return VerifyRecoveredDb(db.get(), trace, prefix_end, max_commit_ts, label,
+                           side_traversals);
 }
 
 ::testing::AssertionResult CheckOnlineRecoveryOracle(
@@ -503,8 +527,6 @@ namespace {
   if (!audit) return audit;
 
   Options opts = WorkloadOptions(cfg);
-  opts.maintenance_workers = 0;
-  opts.inline_completion = true;
   // Deterministic verification (see CheckPostRecoveryOracle).
   opts.checkpoint_interval_ms = 0;
   opts.checkpoint_log_bytes = 0;
@@ -628,7 +650,8 @@ namespace {
   }
 
   // With history fully repeated, the full offline oracle must hold.
-  return VerifyRecoveredDb(db.get(), trace, prefix_end, max_commit_ts, label);
+  return VerifyRecoveredDb(db.get(), trace, prefix_end, max_commit_ts, label,
+                           nullptr);
 }
 
 OnlineOptimisticTotals GetOnlineOptimisticTotals() {

@@ -49,7 +49,6 @@ struct ExplorerConfig {
   uint64_t seed = 0xF417;
   int threads = 2;
   int keys_per_thread = 60;
-  size_t maintenance_workers = 2;
   /// Continuous-checkpointer knobs for the workload run (0 = off, matching
   /// Options). When enabled the run takes fuzzy checkpoints concurrently
   /// with the writers and *truncates* WAL segments — the journal then
@@ -67,8 +66,8 @@ enum class Expect { kPresent, kAbsent, kUnknown };
 
 Expect ClassifyKey(const std::vector<KeyOp>& ops, Lsn prefix_end);
 
-/// Options the scripted workload runs under (background completion through
-/// `cfg.maintenance_workers` sharded workers, consolidation on).
+/// Options the scripted workload runs under (consolidation on, a pool big
+/// enough that no data page is evicted mid-run).
 Options WorkloadOptions(const ExplorerConfig& cfg);
 
 /// Phase 1: runs the scripted concurrent workload — seed-shuffled inserts
@@ -77,6 +76,10 @@ Options WorkloadOptions(const ExplorerConfig& cfg);
 /// threshold, a mid-history fuzzy checkpoint, post-checkpoint inserts, an
 /// explicitly aborted transaction, and a multi-op loser left in flight —
 /// on a recording SimEnv, then shuts down cleanly and returns the trace.
+/// The completing actions the operations gather are held instead of run
+/// inline, and run after the deletes and before the shutdown, so the
+/// commits force splits to the log ahead of their postings and some crash
+/// images hold a split whose index term was never posted.
 ::testing::AssertionResult RunScriptedWorkload(const ExplorerConfig& cfg,
                                                WorkloadTrace* out);
 
@@ -105,11 +108,13 @@ Lsn ValidWalPrefix(SimEnv* env, const std::string& wal_base);
 /// deleted keys absent); never-committed keys are absent; the §2.1.3
 /// well-formedness invariants hold (CheckWellFormed plus AuditPath over
 /// sampled root-to-leaf paths); and the recovered tree accepts new work.
-/// `label` names the crash point in failure messages.
-::testing::AssertionResult CheckPostRecoveryOracle(SimEnv* env,
-                                                   const WorkloadTrace& trace,
-                                                   const ExplorerConfig& cfg,
-                                                   const std::string& label);
+/// `label` names the crash point in failure messages. When
+/// `side_traversals` is non-null it receives the side pointers the
+/// oracle's reads crossed: more than 0 means the recovered image held a
+/// split whose index term was not posted.
+::testing::AssertionResult CheckPostRecoveryOracle(
+    SimEnv* env, const WorkloadTrace& trace, const ExplorerConfig& cfg,
+    const std::string& label, uint64_t* side_traversals = nullptr);
 
 /// Online-recovery variant of the oracle (DESIGN.md §13): opens the image
 /// with Options::instant_restore, then serves traffic while lazy redo is

@@ -9,6 +9,7 @@
 #include "common/random.h"
 #include "db/database.h"
 #include "env/sim_env.h"
+#include "harness/held_jobs.h"
 
 namespace pitree {
 namespace {
@@ -42,7 +43,6 @@ class PiTreeRegimeTest : public ::testing::TestWithParam<Regime> {
     opts.consolidation_enabled = GetParam().consolidation;
     opts.dealloc_is_node_update = GetParam().dealloc_update;
     opts.page_oriented_undo = GetParam().page_oriented;
-    opts.inline_completion = true;
     ASSERT_TRUE(Database::Open(opts, &env_, "db", &db_).ok());
     ASSERT_TRUE(db_->CreateIndex("t", &tree_).ok());
   }
@@ -76,7 +76,44 @@ class PiTreeRegimeTest : public ::testing::TestWithParam<Regime> {
     EXPECT_TRUE(s.ok()) << report;
   }
 
+  /// Inserts `n` distinct random keys, one committed insert per
+  /// transaction, and returns them.
+  std::vector<std::string> InsertRandomKeys(int n) {
+    Random rnd(TestSeed(51));
+    std::set<std::string> seen;
+    std::vector<std::string> keys;
+    const std::string value(150, 'v');
+    while (static_cast<int>(keys.size()) < n) {
+      std::string k = Key(static_cast<int>(rnd.Uniform(100000000)));
+      if (!seen.insert(k).second) continue;
+      EXPECT_TRUE(InsertOne(k, value).ok()) << k;
+      keys.push_back(k);
+    }
+    return keys;
+  }
+
+  /// Reads every key back and returns the side pointers the reads crossed.
+  uint64_t ReadAll(const std::vector<std::string>& keys) {
+    const uint64_t before = tree_->stats().side_traversals.load();
+    for (const std::string& k : keys) {
+      std::string v;
+      EXPECT_TRUE(GetOne(k, &v).ok()) << k;
+    }
+    return tree_->stats().side_traversals.load() - before;
+  }
+
+  /// Installs `held_` so every split stays unposted, inserts `n` random
+  /// keys, and returns them.
+  std::vector<std::string> InsertWithPostingsHeld(int n) {
+    db_->context()->completion_sink = &held_;
+    std::vector<std::string> keys = InsertRandomKeys(n);
+    EXPECT_GT(tree_->stats().splits.load(), 10u);
+    EXPECT_EQ(tree_->stats().posts_attempted.load(), 0u);
+    return keys;
+  }
+
   SimEnv env_;
+  harness::HeldJobs held_;  // outlives db_, which may point at it
   std::unique_ptr<Database> db_;
   PiTree* tree_ = nullptr;
 };
@@ -144,6 +181,53 @@ TEST_P(PiTreeRegimeTest, ManyInsertsForceSplitsAndStayWellFormed) {
     ASSERT_TRUE(GetOne(Key(i), &v).ok()) << i;
     EXPECT_EQ(v, value);
   }
+}
+
+// §5.1: completion is inline. Every split's posting runs before the insert
+// that caused it returns, so once the inserts are done no search needs a
+// side pointer.
+TEST_P(PiTreeRegimeTest, InlineCompletionPostsEverySplit) {
+  std::vector<std::string> keys = InsertRandomKeys(8000);
+  EXPECT_GT(tree_->stats().splits.load(), 10u);
+  EXPECT_EQ(ReadAll(keys), 0u);
+  ExpectWellFormed();
+}
+
+// An interrupted structure change is a legal state (§5.1): with every
+// posting held back, the tree stays well formed and complete, and searches
+// reach each key across side pointers.
+TEST_P(PiTreeRegimeTest, HeldPostingsLeaveSplitsUnposted) {
+  std::vector<std::string> keys = InsertWithPostingsHeld(3000);
+  ExpectWellFormed();
+  EXPECT_GT(ReadAll(keys), 0u);
+  EXPECT_EQ(tree_->stats().posts_attempted.load(), 0u);
+}
+
+// Completing actions are idempotent (§5.1): running every held job twice
+// posts only on the first pass, and afterwards no search crosses a side
+// pointer.
+TEST_P(PiTreeRegimeTest, HeldJobsCompleteSplitsOnce) {
+  std::vector<std::string> keys = InsertWithPostingsHeld(3000);
+  ASSERT_GT(ReadAll(keys), 0u);  // the reads hold back more jobs
+  db_->context()->completion_sink = nullptr;  // follow-ups now run inline
+  std::vector<harness::HeldJobs::Entry> jobs = held_.TakeAll();
+  ASSERT_FALSE(jobs.empty());
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    const uint64_t posts = tree_->stats().posts_performed.load();
+    for (auto& [tree, job] : jobs) {
+      ASSERT_EQ(tree, tree_);
+      EXPECT_TRUE(tree->ExecuteJob(job).ok());
+    }
+    const uint64_t posted = tree_->stats().posts_performed.load() - posts;
+    if (pass == 0) {
+      EXPECT_GT(posted, 0u);
+    } else {
+      EXPECT_EQ(posted, 0u);
+    }
+  }
+  ExpectWellFormed();
+  EXPECT_EQ(ReadAll(keys), 0u);
 }
 
 TEST_P(PiTreeRegimeTest, ReverseOrderInsertsWork) {

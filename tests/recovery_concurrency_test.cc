@@ -36,7 +36,6 @@ constexpr int kSeedKeys = 250;
 // crashed before any page flush.
 void BuildCrashImage(SimEnv* env) {
   Options opts;
-  opts.inline_completion = true;
   opts.buffer_pool_pages = 4096;  // nothing evicts: data file stays empty
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(opts, env, "db", &db).ok());
@@ -75,7 +74,6 @@ TEST(RecoveryConcurrencyTest, ColdFetchesRaceBackgroundSweeper) {
   BuildCrashImage(&env);
 
   Options opts;
-  opts.inline_completion = true;
   opts.buffer_pool_pages = 4096;
   opts.instant_restore = true;
   opts.recovery_sweeper = true;
@@ -158,7 +156,6 @@ TEST(RecoveryConcurrencyTest, CheckpointDuringRecoverySecondCrashRecovers) {
 
   {
     Options opts;
-    opts.inline_completion = true;
     opts.buffer_pool_pages = 4096;
     opts.instant_restore = true;
     // No sweeper thread: this database is crashed mid-recovery below, and
@@ -189,7 +186,6 @@ TEST(RecoveryConcurrencyTest, CheckpointDuringRecoverySecondCrashRecovers) {
 
   // Second recovery (offline this time) from the mid-recovery checkpoint.
   Options opts;
-  opts.inline_completion = true;
   opts.buffer_pool_pages = 4096;
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(opts, &env, "db", &db).ok());

@@ -59,7 +59,6 @@ class CrashTortureTest : public ::testing::TestWithParam<CrashRegime> {
     Options opts;
     opts.page_oriented_undo = GetParam().page_oriented;
     opts.consolidation_enabled = GetParam().consolidation;
-    opts.inline_completion = true;
     // Large pool: nothing is evicted, so the durable page file stays empty
     // and every WAL prefix is a legal crash state (WAL-before-data holds
     // vacuously).
@@ -907,7 +906,6 @@ TEST_F(RecoveryTest, RecoveredPagesMatchPreCrashImages) {
   Options opts = DefaultOptions();
   opts.buffer_pool_pages = 4096;  // nothing evicts: every page stays dirty
   opts.wal_segment_bytes = 64 << 10;
-  opts.inline_completion = true;
   std::map<PageId, std::string> images;
   {
     std::unique_ptr<Database> db;

@@ -39,7 +39,6 @@ class TxnTableTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Options opts;
-    opts.inline_completion = true;
     ASSERT_TRUE(Database::Open(opts, &env_, "db", &db_).ok());
     ASSERT_TRUE(db_->CreateIndex("t", &tree_).ok());
     for (int i = 0; i < 20; ++i) {
