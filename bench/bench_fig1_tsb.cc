@@ -11,6 +11,9 @@
 // validates the figure's responsibility claim with as-of probes, and
 // measures version-query cost vs. history depth.
 
+#include <set>
+#include <sstream>
+
 #include "bench_util.h"
 #include "common/random.h"
 #include "tsb/tsb_tree.h"
@@ -47,6 +50,10 @@ int main() {
   BenchDb bdb;
   TsbTree* tsb = nullptr;
   bdb.db->CreateTsbIndex("versions", &tsb).ok();
+  // The tree keeps history back to the oldest open snapshot only; the
+  // figure's chains and the as-of probes below need all of it, so a
+  // snapshot opened before the first write pins it.
+  auto keep_history = bdb.db->BeginSnapshot();
 
   // Stage 1: repeated updates of a small key set -> dead versions pile up
   // -> the split policy time-splits, producing history nodes.
@@ -81,6 +88,25 @@ int main() {
   tsb->DumpStructure(&dump).ok();
   printf("node partition (current level, left to right, with history "
          "chains):\n%s\n", dump.c_str());
+  // A history node whose key range is wider than the current node that
+  // reaches it is shared with a key-split sibling: a prune cuts it from
+  // one sibling but leaves it allocated.
+  std::set<std::string> history, shared;
+  std::string current_keys;
+  std::istringstream lines(dump);
+  for (std::string line; std::getline(lines, line);) {
+    const std::string keys = line.substr(line.find(" keys ") + 6);
+    if (line.rfind("current node", 0) == 0) {
+      current_keys = keys.substr(0, keys.find(" entries"));
+    } else if (line.find("history node") != std::string::npos) {
+      const std::string id = line.substr(line.find("history node") + 13);
+      const std::string node = id.substr(0, id.find(' '));
+      history.insert(node);
+      if (keys != current_keys) shared.insert(node);
+    }
+  }
+  printf("history nodes: %zu, shared by key-split siblings: %zu\n\n",
+         history.size(), shared.size());
 
   // Figure's responsibility claim: through its history pointer a current
   // node answers for ALL previous time of its key space.

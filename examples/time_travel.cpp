@@ -1,8 +1,8 @@
 // Time travel: the TSB-tree (paper §2.2.2, Figure 1) as a versioned
 // key-value store. Every Put creates a new version; queries can ask for the
-// state "as of" any past time. Old versions migrate to historical nodes via
-// time splits, reachable through history sibling pointers, without slowing
-// down current-time access.
+// state "as of" any past time an open snapshot still covers. Old versions
+// migrate to historical nodes via time splits, reachable through history
+// sibling pointers, without slowing down current-time access.
 
 #include <cstdio>
 #include <memory>
@@ -21,6 +21,9 @@ int main() {
   if (!Database::Open(options, &env, "timetravel", &db).ok()) return 1;
   TsbTree* prices = nullptr;
   if (!db->CreateTsbIndex("prices", &prices).ok()) return 1;
+  // History is kept back to the oldest open snapshot: holding one from
+  // before the first quote keeps every day's prices reachable.
+  auto archive = db->BeginSnapshot();
 
   // A price feed: each day every symbol gets a new quote.
   const char* symbols[] = {"copper", "gold", "silver", "tin"};

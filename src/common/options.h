@@ -63,10 +63,6 @@ struct Options {
   /// is a consolidation candidate (§3.3).
   size_t min_node_utilization_pct = 20;
 
-  /// Fraction of entries delegated on a split, in percent of the slot count
-  /// (50 = split at the median).
-  size_t split_point_pct = 50;
-
   /// Instant restore (DESIGN.md §13). When true, Database::Open returns
   /// after recovery's analysis and undo passes: redo is deferred to a
   /// per-page RecoveryMap that the buffer pool consults on first fetch, so

@@ -25,6 +25,8 @@ const char* CodeName(Status::Code code) {
       return "NoSpace";
     case Status::Code::kNotSupported:
       return "NotSupported";
+    case Status::Code::kSnapshotTooOld:
+      return "SnapshotTooOld";
   }
   return "Unknown";
 }

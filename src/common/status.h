@@ -29,6 +29,7 @@ class [[nodiscard]] Status {
     kAborted,      // transaction or atomic action rolled back
     kNoSpace,      // page or structure out of room
     kNotSupported,
+    kSnapshotTooOld,  // as-of read below the history a node still keeps
   };
 
   Status() = default;  // OK
@@ -61,6 +62,13 @@ class [[nodiscard]] Status {
   static Status NotSupported(std::string_view msg = "") {
     return Status(Code::kNotSupported, msg);
   }
+  /// A TSB-tree as-of read at a time below the node's prune floor: the
+  /// versions that answered it were reclaimed once no open snapshot could
+  /// reach them (DESIGN.md §12). Distinct from NotFound, which means the
+  /// key had no live version at that time.
+  static Status SnapshotTooOld(std::string_view msg = "") {
+    return Status(Code::kSnapshotTooOld, msg);
+  }
 
   bool ok() const { return code_ == Code::kOk; }
   bool IsNotFound() const { return code_ == Code::kNotFound; }
@@ -72,6 +80,7 @@ class [[nodiscard]] Status {
   bool IsAborted() const { return code_ == Code::kAborted; }
   bool IsNoSpace() const { return code_ == Code::kNoSpace; }
   bool IsNotSupported() const { return code_ == Code::kNotSupported; }
+  bool IsSnapshotTooOld() const { return code_ == Code::kSnapshotTooOld; }
 
   Code code() const { return code_; }
 

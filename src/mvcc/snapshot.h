@@ -23,8 +23,10 @@ namespace pitree {
 /// snapshot and the snapshot never sees them.
 ///
 /// The handle is registered with the oracle for its lifetime so the
-/// low-watermark (future snapshot-aware pruning) accounts for it; destroy
-/// it promptly when done. Not thread-safe; one thread drives a snapshot.
+/// low-watermark accounts for it: the TSB-tree keeps every version the
+/// snapshot can read until it is destroyed (DESIGN.md §12). Destroy it
+/// promptly when done, or history piles up behind it. Not thread-safe;
+/// one thread drives a snapshot.
 class SnapshotTxn {
  public:
   explicit SnapshotTxn(TimestampOracle* oracle)

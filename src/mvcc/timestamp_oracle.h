@@ -37,8 +37,9 @@ using Timestamp = uint64_t;
 /// durable version or commit already carries.
 ///
 /// The low-watermark (minimum active snapshot timestamp) is the boundary
-/// below which no reader exists; a future snapshot-aware time-split prune
-/// may discard versions superseded before it.
+/// below which no reader exists: the TSB-tree prunes the versions
+/// superseded at or before it and frees history chains split below it
+/// (DESIGN.md §12).
 class TimestampOracle {
  public:
   TimestampOracle() = default;
@@ -80,8 +81,8 @@ class TimestampOracle {
   Timestamp visible_ts() const;
 
   /// Minimum active snapshot timestamp (== visible_ts() when no snapshot
-  /// is open): no reader exists below this; versions superseded before it
-  /// are reclaimable by a snapshot-aware time split.
+  /// is open): no reader exists below this, and no snapshot opened later
+  /// reads below it; TsbTree prunes the versions superseded before it.
   Timestamp low_watermark() const;
 
   /// Restart: forces the clock and visibility horizon strictly above every

@@ -48,12 +48,8 @@ Status PiTree::SplitNode(Transaction* txn, PageHandle& h, PageId* new_sibling,
   if (node.entry_count() < 2) {
     return Status::NoSpace("node too small to split (oversized record?)");
   }
-  // Partition the directly contained space (§3.2.1 step 2).
-  int split_slot = static_cast<int>(node.entry_count()) *
-                   static_cast<int>(ctx_->options.split_point_pct) / 100;
-  if (split_slot < 1) split_slot = 1;
-  if (split_slot >= node.entry_count()) split_slot = node.entry_count() - 1;
-  std::string split_key = node.EntryKey(split_slot).ToString();
+  // Partition the directly contained space (§3.2.1 step 2) at the median.
+  std::string split_key = node.MedianKey().ToString();
   std::vector<NodeEntry> moved = node.EntriesFrom(split_key);
   std::string source_image = node.ImagePayload();
 
@@ -202,10 +198,7 @@ Status PiTree::SplitLeafForInsert(OpCtx* op, PageHandle* leaf,
     // runs as an independent action, before and apart from the transaction.
     NodeRef node(leaf->data());
     if (node.entry_count() >= 2) {
-      int split_slot = static_cast<int>(node.entry_count()) *
-                       static_cast<int>(ctx_->options.split_point_pct) / 100;
-      if (split_slot < 1) split_slot = 1;
-      std::string split_key = node.EntryKey(split_slot).ToString();
+      std::string split_key = node.MedianKey().ToString();
       for (const auto& e : node.EntriesFrom(split_key)) {
         auto it = user->held_locks.find(RecordLockName(root_, e.key));
         if (it != user->held_locks.end() &&

@@ -112,10 +112,12 @@ Status CheckpointManager::TakeCheckpoint(Lsn* out_begin, Lsn* out_floor) {
   // lint:allow-mutex-io -- slow-path serialization, I/O is the point
   MutexLock serialize(&checkpoint_mu_);
 
+  // The begin record starts a new WAL segment, so once nothing below it is
+  // needed, truncation deletes every earlier segment whole.
   LogRecord begin;
   begin.type = LogRecordType::kCheckpointBegin;
   Lsn begin_lsn;
-  PITREE_RETURN_IF_ERROR(wal_->Append(begin, &begin_lsn));
+  PITREE_RETURN_IF_ERROR(wal_->AppendSegmentStart(begin, &begin_lsn));
 
   CheckpointData data;
   data.att = txns_->SnapshotAtt();

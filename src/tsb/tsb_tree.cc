@@ -34,6 +34,115 @@ std::string TagValue(bool tombstone, const Slice& v) {
   return out;
 }
 
+bool IsTombstone(const Slice& tagged) {
+  return !tagged.empty() && tagged[0] == kValueTagTombstone;
+}
+
+// Calls fn(user key, time, tagged value) in key order for each user key in
+// [from, *to) (to null: unbounded) that has a version at or below `t` in
+// `node`, with its newest such version; stops when fn returns false.
+template <typename Fn>
+Status ForEachVersionAt(const NodeRef& node, const std::string& from,
+                        const std::string* to, TsbTime t, Fn fn) {
+  bool found;
+  int i = node.FindSlot(TsbTree::CompositeKey(from, 0), &found);
+  Slice best_key, best_value;
+  TsbTime best_time = 0;
+  bool have = false;
+  for (;; ++i) {
+    Slice ukey;
+    TsbTime vt;
+    const bool more = i < node.entry_count();
+    if (more && !TsbTree::SplitComposite(node.EntryKey(i), &ukey, &vt)) {
+      if (node.EntryKey(i) == TsbTree::kHistoryEntryKey) continue;
+      return Status::Corruption("tsb: bad composite in scan");
+    }
+    const bool in_range =
+        more && (to == nullptr || ukey.compare(Slice(*to)) < 0);
+    if (have && (!in_range || ukey != best_key)) {
+      if (!fn(best_key, best_time, best_value)) return Status::OK();
+      have = false;
+    }
+    if (!in_range) return Status::OK();
+    if (vt <= t) {
+      best_key = ukey;
+      best_time = vt;
+      best_value = node.EntryValue(i);
+      have = true;
+    }
+  }
+}
+
+// A node's history entries outlive a version only while their key range
+// equals the node's: a key split or root grow narrows every node that
+// copies the history pointer, so an equal range means no other node can
+// reach the history entry.
+bool SameRange(const NodeRef& a, const NodeRef& b) {
+  if (a.low_is_neg_inf() != b.low_is_neg_inf() ||
+      a.high_is_pos_inf() != b.high_is_pos_inf()) {
+    return false;
+  }
+  return (a.low_is_neg_inf() || a.low_key() == b.low_key()) &&
+         (a.high_is_pos_inf() || a.high_key() == b.high_key());
+}
+
+// True when `outer`'s key range contains `inner`'s.
+bool ContainsRange(const NodeRef& outer, const NodeRef& inner) {
+  if (!outer.low_is_neg_inf() &&
+      (inner.low_is_neg_inf() || inner.low_key() < outer.low_key())) {
+    return false;
+  }
+  return outer.high_is_pos_inf() ||
+         (!inner.high_is_pos_inf() && inner.high_key() <= outer.high_key());
+}
+
+// The versions among `n` leaf entries in key order (entry i is key(i),
+// value(i)) that no reader at or after time `at` needs, as positions: each
+// version superseded by a newer version of its key at or below `at`, and,
+// with `drop_tombstones`, a tombstone at or below `at` that is its key's
+// newest such version (everything behind it is superseded, so the key then
+// has no version left to find). Reads the entries in place.
+template <typename KeyAt, typename ValueAt>
+std::vector<size_t> DeadAt(size_t n, KeyAt key, ValueAt value, TsbTime at,
+                           bool drop_tombstones) {
+  std::vector<size_t> dead;
+  for (size_t i = 0; i < n; ++i) {
+    Slice ukey, nkey;
+    TsbTime vt, nt;
+    if (!TsbTree::SplitComposite(key(i), &ukey, &vt) || vt > at) {
+      continue;  // the history entry, or a version newer than `at`
+    }
+    const bool superseded = i + 1 < n &&
+                            TsbTree::SplitComposite(key(i + 1), &nkey, &nt) &&
+                            nkey == ukey && nt <= at;
+    if (superseded || (drop_tombstones && IsTombstone(value(i)))) {
+      dead.push_back(i);
+    }
+  }
+  return dead;
+}
+
+// DeadAt over a node's entries, read in place.
+std::vector<size_t> DeadAt(const NodeRef& node, TsbTime at,
+                           bool drop_tombstones) {
+  return DeadAt(
+      node.entry_count(), [&](size_t i) { return node.EntryKey(i); },
+      [&](size_t i) { return node.EntryValue(i); }, at, drop_tombstones);
+}
+
+// DeadAt over copied entries, returning the dead entries themselves.
+std::vector<NodeEntry> DeadAt(const std::vector<NodeEntry>& all, TsbTime at,
+                              bool drop_tombstones) {
+  std::vector<NodeEntry> dead;
+  for (size_t i : DeadAt(
+           all.size(), [&](size_t j) { return Slice(all[j].key); },
+           [&](size_t j) { return Slice(all[j].value); }, at,
+           drop_tombstones)) {
+    dead.push_back(all[i]);
+  }
+  return dead;
+}
+
 bool ValidUserKey(const Slice& key) {
   if (key.empty()) return false;
   if (static_cast<unsigned char>(key[0]) < 0x20) return false;
@@ -67,20 +176,23 @@ bool TsbTree::SplitComposite(const Slice& composite, Slice* key, TsbTime* t) {
   return true;
 }
 
-std::string TsbTree::EncodeHistoryTerm(PageId page, TsbTime t) {
+std::string TsbTree::EncodeHistoryTerm(const HistoryTerm& term) {
   std::string out;
-  PutFixed32(&out, page);
-  PutFixed64(&out, t);
+  PutFixed32(&out, term.page);
+  PutFixed64(&out, term.split_time);
+  PutFixed64(&out, term.floor);
   return out;
 }
 
 bool TsbTree::DecodeHistoryTerm(const Slice& v, HistoryTerm* term) {
   Slice in = v;
   uint32_t page;
-  uint64_t t;
+  uint64_t t, floor = 0;
   if (!GetFixed32(&in, &page) || !GetFixed64(&in, &t)) return false;
+  if (!in.empty() && !GetFixed64(&in, &floor)) return false;
   term->page = page;
   term->split_time = t;
+  term->floor = floor;
   return true;
 }
 
@@ -96,6 +208,23 @@ TsbTree::TsbTree(EngineContext* ctx, PageId root) : ctx_(ctx), root_(root) {}
 TsbTime TsbTree::Now() {
   if (ctx_->oracle != nullptr) return ctx_->oracle->Next();
   return clock_.fetch_add(1) + 1;
+}
+
+Status TsbTree::SetHistoryTerm(Transaction* owner, PageHandle& node,
+                               const HistoryTerm* prior,
+                               const HistoryTerm& next) {
+  const std::string term = EncodeHistoryTerm(next);
+  if (prior != nullptr) {
+    return LogAndApply(ctx_, owner, node, PageOp::kNodeUpdate,
+                       NodeRef::UpdatePayload(kHistoryEntryKey, term),
+                       PageOp::kNodeUpdate,
+                       NodeRef::UpdatePayload(kHistoryEntryKey,
+                                              EncodeHistoryTerm(*prior)));
+  }
+  return LogAndApply(ctx_, owner, node, PageOp::kNodeInsert,
+                     NodeRef::InsertPayload(kHistoryEntryKey, term),
+                     PageOp::kNodeDelete,
+                     NodeRef::DeletePayload(kHistoryEntryKey));
 }
 
 // lint:tsa-escape -- bootstrap/recovery latches pages across helper
@@ -161,12 +290,18 @@ Status TsbTree::DescendToLeaf(
   std::string composite = CompositeKey(key, 0);
   PageHandle cur;
   PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(root_, &cur));
-  cur.latch().AcquireS();
-  analysis::NoteTreeLevel(&cur.latch(), NodeRef(cur.data()).level());
-  if (NodeRef(cur.data()).is_leaf() && mode != LatchMode::kShared) {
+  // A leaf root is latched in the caller's mode, an index root in S. The
+  // root's level can change (GrowRoot) between dropping S and taking the
+  // caller's mode, so loop until the mode held and the level agree.
+  for (;;) {
+    cur.latch().AcquireS();
+    if (!NodeRef(cur.data()).is_leaf() || mode == LatchMode::kShared) break;
     cur.latch().ReleaseS();
     AcquireMode(cur.latch(), mode);
+    if (NodeRef(cur.data()).is_leaf()) break;
+    cur.latch().Release(mode);  // the root grew between the two latches
   }
+  analysis::NoteTreeLevel(&cur.latch(), NodeRef(cur.data()).level());
   for (;;) {
     NodeRef node(cur.data());
     LatchMode cur_mode =
@@ -242,15 +377,124 @@ Status TsbTree::DescendToLeaf(
 
 // lint:tsa-escape -- atomic-action SMO: latches flow across helpers and
 // error paths; checked by the runtime checker and tools/analyze.
-Status TsbTree::TimeSplit(Transaction* owner, PageHandle& leaf, TsbTime t)
+Status TsbTree::Prune(Transaction* owner, PageHandle& leaf, TsbTime w,
+                      bool* changed) NO_THREAD_SAFETY_ANALYSIS {
+  *changed = false;
+  NodeRef node(leaf.data());
+  HistoryTerm hist;
+  const bool has_term = GetHistoryTerm(node, &hist);
+  // No reader at or after w follows a pointer whose split time is below w.
+  const bool cut = hist.chained() && hist.split_time < w;
+  // A tombstone may go only if no reader at or after w can fall through it
+  // to older versions down the chain.
+  const bool chain_kept = hist.chained() && !cut;
+  const std::vector<size_t> slots = DeadAt(node, w, !chain_kept);
+  if (slots.empty() && !cut) return Status::OK();
+  if (!slots.empty()) {
+    std::vector<NodeEntry> dead;
+    dead.reserve(slots.size());
+    for (size_t i : slots) {
+      dead.push_back({node.EntryKey(i).ToString(),
+                      node.EntryValue(i).ToString()});
+    }
+    PITREE_RETURN_IF_ERROR(LogAndApply(
+        ctx_, owner, leaf, PageOp::kNodeBulkErase,
+        NodeRef::BulkErasePayload(dead), PageOp::kNodeBulkLoad,
+        NodeRef::BulkLoadPayload(dead)));
+  }
+  HistoryTerm next = hist;
+  if (cut) next = HistoryTerm();
+  next.floor = std::max(hist.floor, w);
+  PITREE_RETURN_IF_ERROR(
+      SetHistoryTerm(owner, leaf, has_term ? &hist : nullptr, next));
+  if (cut) {
+    PITREE_RETURN_IF_ERROR(FreeChain(owner, leaf, hist.page));
+    stats_.chain_cuts.fetch_add(1, std::memory_order_relaxed);
+  }
+  stats_.prunes.fetch_add(1, std::memory_order_relaxed);
+  *changed = true;
+  return Status::OK();
+}
+
+// lint:tsa-escape -- atomic-action SMO: latches flow across helpers and
+// error paths; checked by the runtime checker and tools/analyze.
+Status TsbTree::FreeChain(Transaction* owner, PageHandle& leaf, PageId first)
+    NO_THREAD_SAFETY_ANALYSIS {
+  // §5.2 strategy (a): de-allocation is not a node update; only the space
+  // map changes. Latched readers reach a history node only from its
+  // predecessor on the chain, coupling S latches current -> history; the
+  // leaf's X latch (held throughout) stops new ones, and X-latching each
+  // node in the readers' order waits out those already inside. Releasing
+  // that X latch bumps the frame's version, so an optimistic reader whose
+  // copy predates the cut fails its revalidation (DESIGN.md §15).
+  const NodeRef cur(leaf.data());
+  PageId next = first;
+  while (next != kInvalidPageId) {
+    PageHandle h;
+    PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(next, &h));
+    h.latch().AcquireX();
+    analysis::NoteTreeLevel(&h.latch(), 0);
+    const NodeRef hn(h.data());
+    if (!SameRange(hn, cur)) {
+      // Shared with a key-split sibling, which may still follow it: cut
+      // from this leaf but left allocated (no reference count yet).
+      h.latch().ReleaseX();
+      break;
+    }
+    HistoryTerm hist;
+    next = GetHistoryTerm(hn, &hist) ? hist.page : kInvalidPageId;
+    Status s = EngineFreePage(ctx_, owner, h.id());
+    h.latch().ReleaseX();
+    if (!s.ok()) return s;
+    stats_.history_freed.fetch_add(1, std::memory_order_relaxed);
+  }
+  return Status::OK();
+}
+
+std::vector<NodeEntry> TsbTree::CommittedEntries(std::vector<NodeEntry> all,
+                                                 TsbTime w) {
+  std::vector<NodeEntry> committed;
+  committed.reserve(all.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    Slice ukey, nkey;
+    TsbTime vt, nt;
+    const bool newest =
+        SplitComposite(all[i].key, &ukey, &vt) &&
+        !(i + 1 < all.size() &&
+          SplitComposite(all[i + 1].key, &nkey, &nt) && nkey == ukey);
+    if (newest && vt > w &&
+        ctx_->locks->WouldConflict(kInvalidTxnId, RecordLockName(root_, ukey),
+                                   LockMode::kS)) {
+      continue;  // its writer is still running
+    }
+    committed.push_back(std::move(all[i]));
+  }
+  return committed;
+}
+
+// lint:tsa-escape -- atomic-action SMO: latches flow across helpers and
+// error paths; checked by the runtime checker and tools/analyze.
+Status TsbTree::TimeSplit(Transaction* owner, PageHandle& leaf, TsbTime t,
+                          const std::vector<NodeEntry>& committed)
     NO_THREAD_SAFETY_ANALYSIS {
   NodeRef node(leaf.data());
-  // The new historical node is a full copy of the current node: it covers
-  // the same key space for all times up to t, and it inherits the prior
-  // history sibling term (Figure 1: "new historic nodes contain copies of
-  // old history pointers" — the copy happens for free).
-  std::vector<NodeEntry> all = node.AllEntries();
-  std::string image = node.ImagePayload();
+  // The new historical node answers for times up to t: it takes every
+  // committed version at or below t, and the prior history term (Figure 1:
+  // "new historic nodes contain copies of old history pointers"), floor
+  // included. A version a running writer may still roll back stays behind,
+  // so history never holds an aborted version; a reader reaches history
+  // only after the current node, which keeps it.
+  std::vector<NodeEntry> copy;
+  for (const NodeEntry& e : committed) {
+    Slice ukey;
+    TsbTime vt;
+    if (e.key == kHistoryEntryKey ||
+        (SplitComposite(e.key, &ukey, &vt) && vt <= t)) {
+      copy.push_back(e);
+    }
+  }
+  HistoryTerm prior;
+  const bool has_term = GetHistoryTerm(node, &prior);
 
   PageId hpid;
   PITREE_RETURN_IF_ERROR(EngineAllocPage(ctx_, owner, &hpid));
@@ -273,59 +517,29 @@ Status TsbTree::TimeSplit(Transaction* owner, PageHandle& leaf, TsbTime t)
       PageOp::kNone, "");
   if (s.ok()) {
     s = LogAndApply(ctx_, owner, hh, PageOp::kNodeBulkLoad,
-                    NodeRef::BulkLoadPayload(all), PageOp::kNone, "");
+                    NodeRef::BulkLoadPayload(copy), PageOp::kNone, "");
   }
   hh.latch().ReleaseX();
   hh.Reset();
   if (!s.ok()) return s;
 
-  // Prune the current node: keep, per user key, only the newest version —
-  // and drop it too if it is a tombstone (the key is dead at t). Keep the
-  // reserved history entry out of the scan; it is replaced below.
-  std::vector<NodeEntry> erase;
-  for (size_t i = 0; i < all.size(); ++i) {
-    const NodeEntry& e = all[i];
-    if (e.key == kHistoryEntryKey) continue;
-    Slice ukey;
-    TsbTime vt;
-    if (!SplitComposite(e.key, &ukey, &vt)) {
-      return Status::Corruption("tsb: bad composite during time split");
-    }
-    bool superseded = false;
-    if (i + 1 < all.size()) {
-      Slice nkey;
-      TsbTime nt;
-      if (SplitComposite(all[i + 1].key, &nkey, &nt) && nkey == ukey) {
-        superseded = true;
-      }
-    }
-    bool tombstone = !e.value.empty() && e.value[0] == kValueTagTombstone;
-    if (superseded || tombstone) erase.push_back(e);
-  }
-  if (!erase.empty()) {
+  // The current node keeps what readers after t need: per key, its newest
+  // committed version at or below t (unless a tombstone) and everything
+  // newer. A version is dropped only when a committed one supersedes it,
+  // so a rollback never finds its predecessor gone.
+  std::vector<NodeEntry> dead =
+      DeadAt(committed, t, /*drop_tombstones=*/true);
+  if (!dead.empty()) {
     s = LogAndApply(ctx_, owner, leaf, PageOp::kNodeBulkErase,
-                    NodeRef::BulkErasePayload(erase), PageOp::kNodeUnsplit,
-                    image);
+                    NodeRef::BulkErasePayload(dead), PageOp::kNodeBulkLoad,
+                    NodeRef::BulkLoadPayload(dead));
     if (!s.ok()) return s;
   }
-  // Install / replace the history sibling term: (new history node, t).
-  HistoryTerm prior;
-  NodeRef after(leaf.data());
-  std::string term = EncodeHistoryTerm(hpid, t);
-  if (GetHistoryTerm(after, &prior)) {
-    s = LogAndApply(ctx_, owner, leaf, PageOp::kNodeUpdate,
-                    NodeRef::UpdatePayload(kHistoryEntryKey, term),
-                    PageOp::kNodeUpdate,
-                    NodeRef::UpdatePayload(kHistoryEntryKey,
-                                           EncodeHistoryTerm(
-                                               prior.page,
-                                               prior.split_time)));
-  } else {
-    s = LogAndApply(ctx_, owner, leaf, PageOp::kNodeInsert,
-                    NodeRef::InsertPayload(kHistoryEntryKey, term),
-                    PageOp::kNodeDelete,
-                    NodeRef::DeletePayload(kHistoryEntryKey));
-  }
+  HistoryTerm next;
+  next.page = hpid;
+  next.split_time = t;
+  next.floor = prior.floor;
+  s = SetHistoryTerm(owner, leaf, has_term ? &prior : nullptr, next);
   if (s.ok()) stats_.time_splits.fetch_add(1, std::memory_order_relaxed);
   return s;
 }
@@ -358,14 +572,13 @@ Status TsbTree::KeySplit(Transaction* owner, PageHandle& leaf,
     return Status::NoSpace("tsb: degenerate key split");
   }
   std::string image = node.ImagePayload();
-  HistoryTerm hist;
-  bool has_hist = GetHistoryTerm(node, &hist);
-  if (has_hist) {
+  bool found_hist;
+  int hist_slot = node.FindSlot(kHistoryEntryKey, &found_hist);
+  if (found_hist) {
     // Figure 1: "new current nodes contain copies of old history node
-    // pointers" — the new node is responsible for the entire history of
-    // its key space through this copied pointer.
-    moved.push_back({kHistoryEntryKey,
-                     EncodeHistoryTerm(hist.page, hist.split_time)});
+    // pointers" — the new node is responsible for the retained history of
+    // its key space through this copied pointer, down to the same floor.
+    moved.push_back({kHistoryEntryKey, node.EntryValue(hist_slot).ToString()});
   }
 
   PageId bpid;
@@ -516,53 +729,49 @@ Status TsbTree::GrowRoot(Transaction* owner, PageHandle& root_h)
 
 // lint:tsa-escape -- atomic-action SMO: latches flow across helpers and
 // error paths; checked by the runtime checker and tools/analyze.
-Status TsbTree::SplitLeaf(PageHandle* leaf, const Slice& key)
-    NO_THREAD_SAFETY_ANALYSIS {
-  // Policy (§2.2.2): if a meaningful share of the node is historical (dead
-  // versions / tombstones), split by time; otherwise split by key. Runs as
-  // an independent atomic action; the caller restarts afterwards.
-  // (In-transaction moves are avoided by the M-lock no-wait probe: if any
-  // updater — including the caller — holds the page, we fall back to a
-  // time split at "now", which never moves a live uncommitted version out
-  // of the current node: it only copies, and prunes only superseded or
-  // tombstoned versions, which an uncommitted latest version never is.)
-  NodeRef node(leaf->data());
-  size_t dead = 0, total = 0;
-  std::vector<NodeEntry> all = node.AllEntries();
-  for (size_t i = 0; i < all.size(); ++i) {
-    if (all[i].key == kHistoryEntryKey) continue;
-    ++total;
-    Slice ukey;
-    TsbTime vt;
-    if (!SplitComposite(all[i].key, &ukey, &vt)) continue;
-    bool superseded = false;
-    if (i + 1 < all.size()) {
-      Slice nkey;
-      TsbTime nt;
-      if (SplitComposite(all[i + 1].key, &nkey, &nt) && nkey == ukey) {
-        superseded = true;
-      }
-    }
-    bool tombstone =
-        !all[i].value.empty() && all[i].value[0] == kValueTagTombstone;
-    if (superseded || tombstone) ++dead;
-  }
-
+Status TsbTree::SplitLeaf(PageHandle* leaf) NO_THREAD_SAFETY_ANALYSIS {
+  // One atomic action: prune at the watermark, then split only if that
+  // freed less than a quarter of the page. The split policy (§2.2.2):
+  // split by time (at a fresh timestamp) when a fifth of the versions
+  // would be dead after it, else by key. The caller restarts its descent
+  // afterwards. No reader asks for a time below the oracle's low
+  // watermark (a tree without an oracle keeps everything).
+  const TsbTime w =
+      ctx_->oracle != nullptr ? ctx_->oracle->low_watermark() : 0;
   Transaction* action = ctx_->txns->Begin(/*is_system=*/true);
   leaf->latch().PromoteUToX();
   std::map<PageId, PageHandle*> pages;
   pages[leaf->id()] = leaf;
 
-  Status s;
-  bool time_split = total > 0 && dead * 5 >= total;  // >= 20% historical
-  if (time_split) {
-    s = TimeSplit(action, *leaf, Now());
-  } else if (node.is_root()) {
-    s = GrowRoot(action, *leaf);
-  } else {
-    PageId sibling;
-    std::string skey;
-    s = KeySplit(action, *leaf, &sibling, &skey);
+  bool pruned = false;
+  Status s = Prune(action, *leaf, w, &pruned);
+  if (s.ok() && !(pruned && NodeRef(leaf->data()).FreeSpace() >=
+                                kPageSize / 4)) {
+    NodeRef node(leaf->data());
+    const TsbTime t = Now();
+    HistoryTerm hist;
+    const size_t versions =
+        node.entry_count() - (GetHistoryTerm(node, &hist) ? 1 : 0);
+    auto worth_it = [&](size_t dead) {
+      return versions > 0 && t > hist.split_time && dead * 5 >= versions;
+    };
+    // Leaving out in-flight versions only shrinks the dead set, so the
+    // copy and the record-lock probes happen only when the split could
+    // be worth it.
+    std::vector<NodeEntry> committed;
+    if (worth_it(DeadAt(node, t, /*drop_tombstones=*/true).size())) {
+      committed = CommittedEntries(node.AllEntries(), w);
+    }
+    if (!committed.empty() &&
+        worth_it(DeadAt(committed, t, /*drop_tombstones=*/true).size())) {
+      s = TimeSplit(action, *leaf, t, committed);
+    } else if (node.is_root()) {
+      s = GrowRoot(action, *leaf);
+    } else {
+      PageId sibling;
+      std::string skey;
+      s = KeySplit(action, *leaf, &sibling, &skey);
+    }
   }
 
   if (!s.ok()) {
@@ -810,7 +1019,7 @@ Status TsbTree::WriteVersion(Transaction* txn, const Slice& key, TsbTime t,
       }
     }
     if (!node.CanFit(composite.size(), tagged.size())) {
-      s = SplitLeaf(&leaf, key);
+      s = SplitLeaf(&leaf);
       if (!s.ok()) return s;
       continue;
     }
@@ -964,6 +1173,12 @@ Status TsbTree::TryGetOptimisticOnce(
         return Status::Busy("tsb: optimistic hop limit exceeded");
       }
       NodeRef node(buf);
+      HistoryTerm hist;
+      const bool has_term = GetHistoryTerm(node, &hist);
+      if (t < hist.floor) {
+        result = Status::SnapshotTooOld("tsb: as-of time below prune floor");
+        break;
+      }
       bool found;
       int slot = node.FindSlot(probe, &found);
       int candidate = found ? slot : slot - 1;
@@ -986,8 +1201,7 @@ Status TsbTree::TryGetOptimisticOnce(
         }
       }
       if (answered) break;
-      HistoryTerm hist;
-      if (GetHistoryTerm(node, &hist) && t <= hist.split_time) {
+      if (has_term && hist.chained() && t <= hist.split_time) {
         stats_.history_hops.fetch_add(1, std::memory_order_relaxed);
         if (!hop_to(hist.page)) {
           return Status::Busy("tsb: history hop failed");
@@ -1090,6 +1304,15 @@ Status TsbTree::ReadVersionInChain(PageHandle cur, const Slice& key,
     // any version <= t for the key, it is the correct answer; only when it
     // has none may the answer lie further back along the history pointer.
     NodeRef node(cur.data());
+    HistoryTerm hist;
+    const bool has_term = GetHistoryTerm(node, &hist);
+    if (t < hist.floor) {
+      // Versions that answered `t` were pruned once no snapshot could
+      // reach them: refuse rather than return a newer or missing version.
+      cur.latch().ReleaseS();
+      result = Status::SnapshotTooOld("tsb: as-of time below prune floor");
+      break;
+    }
     bool found;
     int slot = node.FindSlot(probe, &found);
     int candidate = found ? slot : slot - 1;
@@ -1115,8 +1338,7 @@ Status TsbTree::ReadVersionInChain(PageHandle cur, const Slice& key,
       cur.latch().ReleaseS();
       break;
     }
-    HistoryTerm hist;
-    if (GetHistoryTerm(node, &hist) && t <= hist.split_time) {
+    if (has_term && hist.chained() && t <= hist.split_time) {
       // The requested time predates this node's directly contained
       // history: follow the history sibling pointer (Figure 1).
       PageHandle hh;
@@ -1202,17 +1424,56 @@ Status TsbTree::ScanAsOf(const Slice& start, const Slice& end, TsbTime t,
         upper.assign(ukey.data(), ukey.size());
       }
     }
-    // Walk to the chain node whose time interval contains `t`: a history
-    // node is a full copy of the node at its split time, so the first node
-    // with split coverage at or past `t` holds, for every key in range,
-    // the latest version at or before `t` (earlier prunes removed only
-    // versions superseded by, or keys dead before, that node's interval).
+    // This round resolves user keys in [cursor, bound).
+    const bool bounded = !upper_inf || !end.empty();
+    const std::string bound =
+        upper_inf ? end.ToString()
+                  : (end.empty() || upper < end.ToString() ? upper
+                                                           : end.ToString());
+    // Each key resolves as ReadVersionInChain resolves one: from the first
+    // node on the chain that holds a version of it at or below t. Usually
+    // that is the leaf alone, and results stream straight out. When t is
+    // at or below the leaf's split time the walk goes down the chain and
+    // merges: the history node holds every committed version up to its
+    // split time, but a writer that drew its time before the split and
+    // inserted after it left that version in the leaf only.
+    std::map<std::string, std::pair<TsbTime, std::string>> merged;
+    bool streamed = false;
     for (;;) {
       NodeRef node(cur.data());
       HistoryTerm hist;
-      if (!GetHistoryTerm(node, &hist) || t > hist.split_time) break;
+      GetHistoryTerm(node, &hist);
+      if (t < hist.floor) {
+        cur.latch().ReleaseS();
+        return Status::SnapshotTooOld("tsb: scan time below prune floor");
+      }
+      const bool deeper = hist.chained() && t <= hist.split_time;
+      Status s;
+      if (!deeper && merged.empty()) {
+        streamed = true;
+        s = ForEachVersionAt(
+            node, cursor, bounded ? &bound : nullptr, t,
+            [&](const Slice& ukey, TsbTime vt, const Slice& v) {
+              if (IsTombstone(v)) return true;
+              out->push_back({ukey.ToString(), vt,
+                              std::string(v.data() + 1, v.size() - 1)});
+              return out->size() < limit;
+            });
+      } else {
+        s = ForEachVersionAt(
+            node, cursor, bounded ? &bound : nullptr, t,
+            [&](const Slice& ukey, TsbTime vt, const Slice& v) {
+              merged.try_emplace(ukey.ToString(), vt, v.ToString());
+              return true;
+            });
+      }
+      if (!s.ok()) {
+        cur.latch().ReleaseS();
+        return s;
+      }
+      if (!deeper) break;
       PageHandle hh;
-      Status s = ctx_->pool->FetchPage(hist.page, &hh);
+      s = ctx_->pool->FetchPage(hist.page, &hh);
       if (!s.ok()) {
         cur.latch().ReleaseS();
         return s;
@@ -1222,64 +1483,15 @@ Status TsbTree::ScanAsOf(const Slice& start, const Slice& end, TsbTime t,
       cur.latch().ReleaseS();
       cur = std::move(hh);
     }
-    // Enumerate user keys in [cursor, upper ∩ end) at time t: versions of
-    // one key are adjacent and time-ascending, so track the best (latest
-    // at-or-before t) version per key and emit on key change.
-    NodeRef node(cur.data());
-    std::string probe = CompositeKey(cursor, 0);
-    bool found;
-    int slot = node.FindSlot(probe, &found);
-    std::string pend_key;
-    Slice pend_val;
-    TsbTime pend_time = 0;
-    bool pend_live = false;
-    auto emit = [&]() {
-      if (!pend_key.empty() && pend_live) {
-        TsbScanEntry e;
-        e.key = pend_key;
-        e.time = pend_time;
-        e.value.assign(pend_val.data() + 1, pend_val.size() - 1);
-        out->push_back(std::move(e));
-      }
-      pend_key.clear();
-      pend_live = false;
-    };
-    for (int i = slot; i < node.entry_count() && !done; ++i) {
-      Slice ekey = node.EntryKey(i);
-      if (ekey == kHistoryEntryKey) continue;
-      Slice ukey;
-      TsbTime vt;
-      if (!SplitComposite(ekey, &ukey, &vt)) {
-        cur.latch().ReleaseS();
-        return Status::Corruption("tsb: bad composite in scan");
-      }
-      if (ukey.compare(cursor) < 0) continue;  // historical node is wider
-      if (!upper_inf && ukey.compare(upper) >= 0) break;
-      if (!end.empty() && ukey.compare(end) >= 0) {
-        // Entries are sorted, so the previous key's versions are complete.
-        emit();
-        done = true;
-        break;
-      }
-      if (ukey != pend_key) {
-        emit();
-        if (out->size() >= limit) {
-          done = true;
-          break;
-        }
-        pend_key.assign(ukey.data(), ukey.size());
-      }
-      if (vt <= t) {
-        Slice v = node.EntryValue(i);
-        pend_time = vt;
-        pend_val = v;
-        pend_live = !v.empty() && v[0] == kValueTagData;
+    if (!streamed) {
+      for (const auto& [key, version] : merged) {
+        if (out->size() >= limit) break;
+        const std::string& v = version.second;
+        if (IsTombstone(v)) continue;
+        out->push_back({key, version.first, v.substr(1)});
       }
     }
-    if (!done) {
-      emit();
-      if (out->size() >= limit) done = true;
-    }
+    if (out->size() >= limit) done = true;
     cur.latch().ReleaseS();
     cur.Reset();
     if (upper_inf) break;
@@ -1322,7 +1534,7 @@ Status TsbTree::History(Transaction* txn, const Slice& key,
       versions->push_back(std::move(ver));
     }
     HistoryTerm hist;
-    if (GetHistoryTerm(node, &hist)) {
+    if (GetHistoryTerm(node, &hist) && hist.chained()) {
       PageHandle hh;
       Status s = ctx_->pool->FetchPage(hist.page, &hh);
       if (!s.ok()) {
@@ -1358,8 +1570,10 @@ Status TsbTree::CheckWellFormed(std::string* report) const {
   if (!root.is_root() || !root.low_is_neg_inf() || !root.high_is_pos_inf()) {
     fail(root_, "root boundary violation");
   }
+  PageHandle sm;
+  PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(kSpaceMapPage, &sm));
   // Walk each level's side chain (current nodes only), then audit each
-  // leaf's history chain for descending split times and key-bound coverage.
+  // leaf's history chain.
   PageId leftmost = root_;
   for (int level = root.level(); level >= 0; --level) {
     PageId pid = leftmost;
@@ -1385,15 +1599,21 @@ Status TsbTree::CheckWellFormed(std::string* report) const {
         }
       }
       if (level == 0) {
-        // History chain: strictly decreasing split times.
+        // History chain: strictly decreasing split times, floors that never
+        // rise, key ranges that never narrow, and no freed page reachable.
         HistoryTerm hist;
-        NodeRef cur_node(h.data());
-        PageHandle walk_h;
+        PageHandle hold;  // pins the history node under audit
+        char* walk = h.data();
         TsbTime prev_time = kTsbTimeMax;
-        const NodeRef* cursor = &cur_node;
-        PageHandle hold;
+        TsbTime prev_floor = kTsbTimeMax;
         int hops = 0;
-        while (GetHistoryTerm(*cursor, &hist)) {
+        while (GetHistoryTerm(NodeRef(walk), &hist)) {
+          if (hist.floor > prev_floor) {
+            fail(pid, "history floor rises down the chain");
+            break;
+          }
+          prev_floor = hist.floor;
+          if (!hist.chained()) break;
           if (hist.split_time >= prev_time) {
             fail(pid, "history split times not decreasing");
             break;
@@ -1403,13 +1623,19 @@ Status TsbTree::CheckWellFormed(std::string* report) const {
             fail(pid, "history chain too long / cyclic");
             break;
           }
-          Status s = ctx_->pool->FetchPage(hist.page, &hold);
+          if (!SmIsAllocated(sm.data(), hist.page)) {
+            fail(pid, "history page " + std::to_string(hist.page) +
+                          " is free in the space map");
+            break;
+          }
+          PageHandle next;
+          Status s = ctx_->pool->FetchPage(hist.page, &next);
           if (!s.ok()) return s;
-          walk_h = std::move(hold);
-          static thread_local NodeRef* dummy = nullptr;
-          (void)dummy;
-          cur_node = NodeRef(walk_h.data());
-          cursor = &cur_node;
+          if (!ContainsRange(NodeRef(next.data()), NodeRef(walk))) {
+            fail(pid, "history node narrower than its referrer");
+          }
+          hold = std::move(next);
+          walk = hold.data();
         }
       } else if (first && node.entry_count() > 0) {
         IndexTerm term;
@@ -1483,7 +1709,7 @@ Status TsbTree::DumpStructure(std::string* out) const {
     NodeRef cursor(h.data());
     PageHandle hold;
     std::vector<std::string> chain;
-    while (GetHistoryTerm(cursor, &hist)) {
+    while (GetHistoryTerm(cursor, &hist) && hist.chained()) {
       PageHandle hh;
       PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(hist.page, &hh));
       std::ostringstream c;

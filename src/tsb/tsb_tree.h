@@ -28,6 +28,9 @@ struct TsbStats {
   std::atomic<uint64_t> key_splits{0};
   std::atomic<uint64_t> time_splits{0};
   std::atomic<uint64_t> root_grows{0};
+  std::atomic<uint64_t> prunes{0};         // in-place prunes at the watermark
+  std::atomic<uint64_t> chain_cuts{0};     // history pointers cut by a prune
+  std::atomic<uint64_t> history_freed{0};  // history pages freed by cuts
   std::atomic<uint64_t> history_hops{0};  // history sibling traversals
   std::atomic<uint64_t> side_traversals{0};
   std::atomic<uint64_t> optimistic_gets{0};       // latch-free read successes
@@ -52,22 +55,33 @@ struct TsbScanEntry {
 /// The Time-Split B-tree (paper §2.2.2, Figure 1) as a Π-tree instance:
 /// the second search structure driven by the same atomic-action machinery.
 ///
-/// Current nodes are responsible for their key space *and its entire
-/// history*: a **key sibling pointer** (the B-link side pointer) delegates
-/// higher key ranges, and a **history sibling pointer** delegates all
-/// versions older than the node's last time split. A time split copies the
-/// node's contents into a new *historical* node (which never splits again)
-/// and prunes dead versions from the current node; a key split delegates the
-/// upper key range to a new current node, which receives a copy of the
-/// history pointer (Figure 1's caption, verbatim behavior).
+/// Current nodes are responsible for their key space *and its history*: a
+/// **key sibling pointer** (the B-link side pointer) delegates higher key
+/// ranges, and a **history sibling pointer** delegates the versions older
+/// than the node's last time split. A time split copies the node's versions
+/// up to the split time into a new *historical* node (which never splits
+/// again) and drops the dead ones from the current node; a key split
+/// delegates the upper key range to a new current node, which receives a
+/// copy of the history pointer (Figure 1's caption, verbatim behavior).
 ///
-/// Both split kinds are independent atomic actions; key-split index-term
-/// postings use the same deferred-completion discipline as the Π-tree.
+/// History is kept back to the oldest open snapshot (the oracle's low
+/// watermark), not forever (DESIGN.md §12). A full leaf is first pruned in
+/// place: versions no reader at or after the watermark can reach are
+/// dropped, a history pointer whose split time is below it is cut, and the
+/// history pages only that pointer reached are freed. The node's *prune
+/// floor* records the watermark; an as-of read below it returns
+/// Status::SnapshotTooOld. A caller that wants older history holds a
+/// snapshot. Only when pruning frees too little room does the leaf split.
+///
+/// A prune and the split it may lead to form one independent atomic
+/// action; key-split index-term postings use the same deferred-completion
+/// discipline as the Π-tree.
 ///
 /// Storage mapping: records are composite-keyed (user_key · 0x00 · time) in
 /// ordinary tree-node pages; the history sibling term is a reserved entry
-/// ("\x01H") holding (history page, split time). User keys must be
-/// non-empty and free of 0x00 bytes.
+/// ("\x01H") holding (history page, split time, prune floor); a cut chain
+/// leaves the page invalid and keeps the floor. User keys must be non-empty
+/// and free of 0x00 bytes.
 ///
 /// Simplification (documented in DESIGN.md): index nodes are not time-split;
 /// historical data is reached through history sibling chains from current
@@ -88,7 +102,9 @@ class TsbTree {
   TsbTime Now();
 
   /// Writes a new version of `key` at time `t` (t from Now(), or any value
-  /// larger than the key's previous versions).
+  /// larger than the key's previous versions). The time should lie above
+  /// the oracle's low watermark: history at or below it is treated as
+  /// committed and may be pruned. The MVCC Put below guarantees that.
   Status Put(Transaction* txn, const Slice& key, const Slice& value,
              TsbTime t);
 
@@ -103,7 +119,9 @@ class TsbTree {
   Status Put(Transaction* txn, const Slice& key, const Slice& value);
   Status Erase(Transaction* txn, const Slice& key);
 
-  /// Latest version as of `t` (NotFound if absent or tombstoned).
+  /// Latest version as of `t` (NotFound if absent or tombstoned;
+  /// SnapshotTooOld if `t` is below the prune floor of the node that
+  /// covers `key`, whose history no longer reaches back to `t`).
   Status GetAsOf(Transaction* txn, const Slice& key, TsbTime t,
                  std::string* value);
 
@@ -120,16 +138,20 @@ class TsbTree {
   /// Bounded snapshot range scan over user keys in [start, end) as of `t`
   /// (empty `start` = from the first key, empty `end` = unbounded),
   /// appending at most `limit` live results to `out` in key order.
-  /// Latch-only, like SnapshotGet.
+  /// Latch-only, like SnapshotGet. SnapshotTooOld if `t` is below the
+  /// prune floor of a leaf in the range.
   Status ScanAsOf(const Slice& start, const Slice& end, TsbTime t,
                   size_t limit, std::vector<TsbScanEntry>* out);
 
-  /// All versions of `key`, newest first, following history chains.
+  /// All retained versions of `key`, newest first, following history
+  /// chains (versions pruned below the watermark are gone).
   Status History(Transaction* txn, const Slice& key,
                  std::vector<TsbVersion>* versions);
 
   /// Structural sanity checker for the TSB instance: current-level B-link
-  /// invariants plus history-chain time ordering.
+  /// invariants, plus along every history chain: split times strictly
+  /// decrease, prune floors never rise, key ranges never narrow, and every
+  /// page is allocated in the space map.
   Status CheckWellFormed(std::string* report) const;
 
   /// Debug/figure support: renders the node partition (current + history
@@ -145,14 +167,24 @@ class TsbTree {
   static const char* kHistoryEntryKey;  // reserved in-node entry key
 
  private:
+  /// The reserved history entry. `page` is kInvalidPageId when the node
+  /// has no history (never time-split, or its chain was cut); `floor` is
+  /// the prune floor: reads as of a time below it are refused.
   struct HistoryTerm {
     PageId page = kInvalidPageId;
     TsbTime split_time = 0;
+    TsbTime floor = 0;
+    bool chained() const { return page != kInvalidPageId; }
   };
 
-  static std::string EncodeHistoryTerm(PageId page, TsbTime t);
+  static std::string EncodeHistoryTerm(const HistoryTerm& term);
   static bool DecodeHistoryTerm(const Slice& v, HistoryTerm* term);
   static bool GetHistoryTerm(const NodeRef& node, HistoryTerm* term);
+
+  /// Logs the replacement of the node's history term (`prior` null: the
+  /// node has none yet).
+  Status SetHistoryTerm(Transaction* owner, PageHandle& node,
+                        const HistoryTerm* prior, const HistoryTerm& next);
 
   /// Descends the current tree to the leaf covering `key`, latched in
   /// `mode`; appends unposted-split completions to `pending`.
@@ -160,10 +192,33 @@ class TsbTree {
                        PageHandle* leaf,
                        std::vector<std::pair<PageId, std::string>>* pending);
 
+  /// Prunes the X-latched current leaf at watermark `w` (atomic action
+  /// owner `action`; allocates no page): drops the versions no reader at
+  /// or after `w` can reach, cuts a history pointer whose split time is
+  /// below `w` and frees what only it reached, and raises the prune floor
+  /// to `w`. `*changed` says whether anything was dropped or cut.
+  Status Prune(Transaction* action, PageHandle& leaf, TsbTime w,
+               bool* changed);
+
+  /// Frees the history chain starting at `first` that only the X-latched
+  /// current leaf reached: every node whose key range equals the leaf's.
+  /// Stops at the first wider node, which a key-split sibling shares.
+  Status FreeChain(Transaction* action, PageHandle& leaf, PageId first);
+
+  /// A leaf's entries (`all`, in key order) without the versions a writer
+  /// may still roll back: a key's newest version above `w` whose record
+  /// lock is held. Versions at or below `w` are committed (the watermark
+  /// stays below every active writer), and only a key's newest version can
+  /// be uncommitted, since writers of one key take turns under its X lock.
+  std::vector<NodeEntry> CommittedEntries(std::vector<NodeEntry> all,
+                                          TsbTime w);
+
   /// Splits the X-latched current leaf by time at `t` (atomic action owner
-  /// `action`): new historical node takes a full copy; dead versions are
-  /// pruned from the current node.
-  Status TimeSplit(Transaction* action, PageHandle& leaf, TsbTime t);
+  /// `action`): the new historical node takes the committed versions at or
+  /// below `t` and the prior history term; versions dead after `t` leave
+  /// the current node. `committed` is CommittedEntries(leaf).
+  Status TimeSplit(Transaction* action, PageHandle& leaf, TsbTime t,
+                   const std::vector<NodeEntry>& committed);
 
   /// Splits the X-latched current leaf by key (atomic action), copying the
   /// history term into the new sibling. Returns the new sibling and its
@@ -177,9 +232,10 @@ class TsbTree {
   /// Posts (sep -> sibling) into the parent level, completing key splits.
   Status PostKeySplit(const Slice& approx_key);
 
-  /// Picks and performs the split kind for a full leaf (§2.2.2 policy:
-  /// time split when enough dead versions, else key split).
-  Status SplitLeaf(PageHandle* leaf, const Slice& key);
+  /// Makes room in a full leaf: prunes it at the watermark, and splits it
+  /// only if that freed too little (§2.2.2 policy: time split when enough
+  /// versions are dead after the split time, else key split).
+  Status SplitLeaf(PageHandle* leaf);
 
   Status WriteVersion(Transaction* txn, const Slice& key, TsbTime t,
                       bool tombstone, const Slice& value);
@@ -213,8 +269,9 @@ class TsbTree {
 
   /// Resolves `key` at time `t` starting from the S-latched chain node
   /// `cur` (the current leaf covering the key), following history sibling
-  /// pointers while every version here is newer than `t`. Consumes `cur`
-  /// (latch released on every path).
+  /// pointers while every version here is newer than `t`; SnapshotTooOld
+  /// when `t` is below a node's prune floor. Consumes `cur` (latch
+  /// released on every path).
   Status ReadVersionInChain(PageHandle cur, const Slice& key, TsbTime t,
                             std::string* value);
 

@@ -72,8 +72,17 @@ Status WalManager::Append(const LogRecord& rec, Lsn* lsn) {
   return Append(rec, lsn, AppendPublish());
 }
 
+Status WalManager::AppendSegmentStart(const LogRecord& rec, Lsn* lsn) {
+  return AppendFrame(rec, lsn, AppendPublish(), /*segment_start=*/true);
+}
+
 Status WalManager::Append(const LogRecord& rec, Lsn* lsn,
                           const AppendPublish& pub) {
+  return AppendFrame(rec, lsn, pub, /*segment_start=*/false);
+}
+
+Status WalManager::AppendFrame(const LogRecord& rec, Lsn* lsn,
+                               const AppendPublish& pub, bool segment_start) {
   // Encode outside the mutex: the critical section below is a reservation
   // plus two memcpys, never CPU-bound work and never file I/O.
   std::string payload;
@@ -99,6 +108,7 @@ Status WalManager::Append(const LogRecord& rec, Lsn* lsn,
   if (pub.ended != nullptr) {
     pub.ended->store(true, std::memory_order_relaxed);
   }
+  if (segment_start) roll_at_ = *lsn;
   frame_starts_.push_back(*lsn);
   active_.append(header, sizeof(header));
   active_.append(payload);
@@ -263,20 +273,10 @@ Status WalManager::WaitUntilDurable(Lsn upto, bool commit) {
           timed_out_holds_ = 0;
         }
       }
+      // A requested segment start may head this batch: roll before it.
+      MaybeRollLocked(lk);
       Status s = FlushBatchLocked(lk);
-      if (s.ok() &&
-          durable_.load(std::memory_order_relaxed) -
-                  segments_.last_start_lsn() >=
-              segment_bytes_) {
-        // Roll at the durable batch boundary, I/O outside the mutex. The
-        // next batch's base is exactly the new segment's start LSN, so no
-        // frame ever spans segments. A failed roll just retries after the
-        // next batch — the oversized active segment keeps accepting writes.
-        lk.Unlock();
-        (void)segments_.RollIfNeeded(
-            durable_.load(std::memory_order_acquire), segment_bytes_);
-        lk.Lock();
-      }
+      if (s.ok()) MaybeRollLocked(lk);
       flush_in_progress_ = false;
       cv_durable_.NotifyAll();
       if (!s.ok()) return s;
@@ -304,13 +304,42 @@ Status WalManager::WaitUntilDurable(Lsn upto, bool commit) {
   }
 }
 
+void WalManager::MaybeRollLocked(ReleasableMutexLock& lk) {
+  if (!flushing_.empty()) return;  // a failed batch is staged: not a boundary
+  const Lsn durable = durable_.load(std::memory_order_relaxed);
+  const bool requested = roll_at_ == durable;
+  if (!requested &&
+      durable - segments_.last_start_lsn() < segment_bytes_) {
+    return;
+  }
+  if (requested) roll_at_ = kNoRoll;
+  // Roll at the durable batch boundary, I/O outside the mutex. The next
+  // batch's base is exactly the new segment's start LSN, so no frame ever
+  // spans segments. A failed roll just retries after the next batch (a
+  // requested one is then dropped) — the active segment keeps accepting
+  // writes. A requested roll needs only a non-empty active segment.
+  lk.Unlock();
+  (void)segments_.RollIfNeeded(durable, requested ? 1 : segment_bytes_);
+  lk.Lock();
+}
+
 Status WalManager::FlushBatchLocked(ReleasableMutexLock& lk) {
   if (flushing_.empty()) {
     if (active_.empty()) return Status::OK();
-    flushing_.swap(active_);
-    batch_commits_ = forming_commits_.load(std::memory_order_relaxed);
-    forming_commits_.store(0, std::memory_order_relaxed);
-    forming_urgent_.store(false, std::memory_order_relaxed);
+    const Lsn base = durable_.load(std::memory_order_relaxed);
+    if (roll_at_ > base && roll_at_ - base < active_.size()) {
+      // End this batch where a new segment was requested, so the roll
+      // after it lands exactly there. The waiters counted for the rest of
+      // active_ still wait on it, so the forming-batch counts stay.
+      flushing_.assign(active_, 0, roll_at_ - base);
+      active_.erase(0, roll_at_ - base);
+      batch_commits_ = 0;
+    } else {
+      flushing_.swap(active_);
+      batch_commits_ = forming_commits_.load(std::memory_order_relaxed);
+      forming_commits_.store(0, std::memory_order_relaxed);
+      forming_urgent_.store(false, std::memory_order_relaxed);
+    }
   }
   const Lsn base = durable_.load(std::memory_order_relaxed);
   // I/O outside the mutex: appenders and readers proceed while this batch

@@ -134,6 +134,13 @@ class WalManager {
   Status Append(const LogRecord& rec, Lsn* lsn);
   Status Append(const LogRecord& rec, Lsn* lsn, const AppendPublish& pub);
 
+  /// Append for a checkpoint's begin record: the record also becomes the
+  /// first of a new segment. The flush leader ends the batch before it at
+  /// its LSN and rolls there (a durable batch boundary, like every roll),
+  /// so once the checkpoint's floor reaches the record, truncation can
+  /// delete every segment before it.
+  Status AppendSegmentStart(const LogRecord& rec, Lsn* lsn);
+
   /// Makes every record with LSN <= `lsn` durable. Parks the caller on the
   /// group-commit pipeline; the caller must hold no page latches (§4.1
   /// No-Wait Rule — commit waiters sleep lock-free).
@@ -217,6 +224,11 @@ class WalManager {
   /// `commit` marks a user commit's force (FlushCommit).
   Status WaitUntilDurable(Lsn upto, bool commit);
 
+  /// Append and AppendSegmentStart: frames `rec` into the active segment
+  /// under mu_, publishing `pub`; `segment_start` requests a roll at it.
+  Status AppendFrame(const LogRecord& rec, Lsn* lsn, const AppendPublish& pub,
+                     bool segment_start);
+
   /// Number of commit forces a commit-led batch should hold for, or 0 when
   /// it should sync at once: no sync timed yet, a non-commit force waiting,
   /// or as many commits already joined as recent batches had.
@@ -226,6 +238,14 @@ class WalManager {
   /// batch, a non-commit force waits on it, or `cap` passes. Reads only
   /// atomics: the caller has dropped the append mutex.
   void SpinForCommits(uint32_t target, std::chrono::nanoseconds cap) const;
+
+  /// Leader only, at a durable batch boundary (nothing staged): starts a
+  /// new segment there if a segment start was requested at it or the
+  /// active segment is full. The I/O runs with mu_ dropped; mu_ held on
+  /// entry and exit. A failed roll is retried at the next boundary.
+  // lint:tsa-escape -- held-on-entry/exit with a mid-function drop through a
+  // caller-owned ReleasableMutexLock (see FlushBatchLocked).
+  void MaybeRollLocked(ReleasableMutexLock& lk) NO_THREAD_SAFETY_ANALYSIS;
 
   /// Leader body: swaps the active segment in if the flushing slot is empty,
   /// drops mu_, performs Write+Sync, re-locks, and publishes durability (or
@@ -241,6 +261,10 @@ class WalManager {
 
   WalSegmentSet segments_;
   uint64_t segment_bytes_ GUARDED_BY(mu_) = kDefaultWalSegmentBytes;
+  /// LSN at which AppendSegmentStart asked for a new segment; kNoRoll when
+  /// none is pending.
+  static constexpr Lsn kNoRoll = ~Lsn{0};
+  Lsn roll_at_ GUARDED_BY(mu_) = kNoRoll;
 
   /// The append mutex, ranked kWalMutex — the leaf of the whole acquisition
   /// order: legal to take while holding anything, nothing may be taken

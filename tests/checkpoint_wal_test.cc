@@ -373,6 +373,53 @@ TEST(CheckpointSerializationTest, ConcurrentCheckpointsPublishValidMaster) {
 
 // --- the background checkpointer, end to end ---------------------------------
 
+// A checkpoint's begin record starts a new segment, so after FlushAll and
+// a checkpoint with no transaction open, truncation deletes everything
+// before it: the live log is one segment holding just the checkpoint.
+TEST(ContinuousCheckpointTest, CheckpointStartsSegmentSoTruncationLeavesOnlyIt) {
+  SimEnv env;
+  Options opts;  // default 8 MiB segments: no size-based roll in this test
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(opts, &env, "db", &db).ok());
+  PiTree* tree = nullptr;
+  ASSERT_TRUE(db->CreateIndex("t", &tree).ok());
+  const std::string value(120, 'v');
+  for (int i = 0; i < 300; ++i) {
+    Transaction* txn = db->Begin();
+    ASSERT_TRUE(tree->Insert(txn, Key(i), value).ok());
+    ASSERT_TRUE(db->Commit(txn).ok());
+  }
+  ASSERT_EQ(db->wal_stats().segments, 1u);
+  ASSERT_TRUE(db->FlushAll().ok());
+  ASSERT_TRUE(db->Checkpoint().ok());
+
+  WalManager* wal = db->context()->wal;
+  const WalStats st = db->wal_stats();
+  EXPECT_EQ(st.segments, 1u);
+  EXPECT_EQ(st.truncated_segments, 1u);
+  EXPECT_EQ(st.wal_disk_bytes,
+            kWalSegmentHeaderSize + (wal->next_lsn() - wal->floor_lsn()));
+  // The live log is exactly the checkpoint's begin and end records.
+  LogReader reader = wal->MakeDurableScanner(wal->floor_lsn());
+  LogRecord rec;
+  ASSERT_TRUE(reader.ReadNext(&rec).ok());
+  EXPECT_EQ(rec.type, LogRecordType::kCheckpointBegin);
+  ASSERT_TRUE(reader.ReadNext(&rec).ok());
+  EXPECT_EQ(rec.type, LogRecordType::kCheckpointEnd);
+  EXPECT_EQ(reader.offset(), wal->next_lsn());
+  EXPECT_TRUE(reader.ReadNext(&rec).IsNotFound());
+
+  // The sealed segment held only dead log: a crash now recovers everything.
+  env.Crash();
+  harness::AbandonDatabase(db);
+  ASSERT_TRUE(Database::Open(opts, &env, "db", &db).ok());
+  ASSERT_TRUE(db->GetIndex("t", &tree).ok());
+  Transaction* txn = db->Begin();
+  std::string v;
+  for (int i = 0; i < 300; i += 7) ASSERT_TRUE(tree->Get(txn, Key(i), &v).ok());
+  ASSERT_TRUE(db->Commit(txn).ok());
+}
+
 TEST(ContinuousCheckpointTest, BoundsWalFootprintAndSurvivesCrash) {
   SimEnv env;
   std::set<std::string> committed;

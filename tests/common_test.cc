@@ -35,6 +35,8 @@ TEST(StatusTest, AllConstructorsMatchPredicates) {
   EXPECT_TRUE(Status::Aborted("").IsAborted());
   EXPECT_TRUE(Status::NoSpace("").IsNoSpace());
   EXPECT_TRUE(Status::NotSupported("").IsNotSupported());
+  EXPECT_TRUE(Status::SnapshotTooOld("").IsSnapshotTooOld());
+  EXPECT_FALSE(Status::SnapshotTooOld("").IsNotFound());
 }
 
 TEST(StatusTest, ReturnIfErrorMacroPropagates) {

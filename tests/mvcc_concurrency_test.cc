@@ -12,11 +12,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/latch_checker.h"
@@ -66,6 +69,19 @@ class MvccConcurrencyTest : public ::testing::Test {
       std::this_thread::yield();
     }
     return false;
+  }
+
+  // CommitPut for a key only this thread writes, so the write never
+  // retries with a fresh time: returns the committed version's time.
+  TsbTime CommitOwnedPut(int key, const std::string& tag) {
+    Transaction* txn = db_->Begin();
+    Status s = tree_->Put(txn, Key(key), Value(key, tag));
+    const TsbTime t = txn->mvcc_write_ts;
+    if (s.ok()) s = db_->Commit(txn);
+    if (s.ok()) return t;
+    (void)db_->Abort(txn);
+    Fail("owned put failed: " + s.ToString());
+    return 0;
   }
 
   void Fail(const std::string& why) {
@@ -180,6 +196,112 @@ TEST_F(MvccConcurrencyTest, SnapshotsStayConsistentAcrossTimeSplits) {
     EXPECT_EQ(out[k].value, Value(k, "seed"));
   }
 
+  std::string report;
+  EXPECT_TRUE(tree_->CheckWellFormed(&report).ok()) << report;
+}
+
+// Long snapshots pin the watermark, so full leaves time-split under them;
+// short ones let it advance, so the next prunes cut that history and free
+// its pages. Each writer owns its keys, so every committed version's time
+// is known, and every snapshot scan must equal the committed state at its
+// timestamp: per key, the newest version at or below it.
+TEST_F(MvccConcurrencyTest, SnapshotScansStayExactWhilePrunesCutAndFree) {
+  // A long phase lasts until a time split, a short one until a cut freed
+  // history; either gives up after kPhaseCommits writer commits.
+  constexpr int kPhaseCommits = 400;
+  const TsbStats& stats = tree_->stats();
+  using Versions = std::vector<std::pair<TsbTime, std::string>>;
+  std::vector<std::map<int, Versions>> written(kWriters);
+  for (int k = 0; k < kKeys; ++k) {
+    const TsbTime t = CommitOwnedPut(k, "seed");
+    written[k % kWriters][k].emplace_back(t, Value(k, "seed"));
+  }
+
+  std::atomic<int> commits{0};
+  std::atomic<bool> writers_done{false};
+  struct ScanAt {
+    TsbTime ts;
+    std::vector<TsbScanEntry> entries;
+  };
+  std::vector<ScanAt> scans;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      // Past the quota, write on until a cut has freed history (bounded).
+      for (int i = 0; i < kCommitsPerWriter ||
+                      (stats.history_freed.load() == 0 &&
+                       i < 8 * kCommitsPerWriter);
+           ++i) {
+        const int key = w + kWriters * (i % (kKeys / kWriters));
+        const std::string tag = "w" + std::to_string(w) + "i" +
+                                std::to_string(i);
+        const TsbTime t = CommitOwnedPut(key, tag);
+        if (t == 0) return;
+        written[w][key].emplace_back(t, Value(key, tag));
+        commits.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    auto scan = [&](SnapshotTxn* snap) {
+      ScanAt s{snap->ts(), {}};
+      if (!snap->Scan(tree_, "", "", kKeys * 2, &s.entries).ok()) {
+        Fail("snapshot scan failed");
+      }
+      scans.push_back(std::move(s));
+    };
+    for (bool long_phase = true;
+         !writers_done.load(std::memory_order_acquire);
+         long_phase = !long_phase) {
+      const int until = commits.load(std::memory_order_relaxed) +
+                        kPhaseCommits;
+      const uint64_t splits = stats.time_splits.load();
+      const uint64_t freed = stats.history_freed.load();
+      auto pinned = long_phase ? db_->BeginSnapshot() : nullptr;
+      while (commits.load(std::memory_order_relaxed) < until &&
+             (long_phase ? stats.time_splits.load() == splits
+                         : stats.history_freed.load() == freed) &&
+             !writers_done.load(std::memory_order_acquire)) {
+        if (pinned != nullptr) {
+          scan(pinned.get());
+        } else {
+          auto brief = db_->BeginSnapshot();
+          scan(brief.get());
+        }
+        std::this_thread::yield();
+      }
+      if (pinned != nullptr) scan(pinned.get());
+    }
+  });
+  for (int w = 0; w < kWriters; ++w) threads[w].join();
+  writers_done.store(true, std::memory_order_release);
+  threads.back().join();
+  ASSERT_EQ(errors_.load(), 0) << first_error_;
+
+  std::map<std::string, Versions> model;
+  for (const auto& per_writer : written) {
+    for (const auto& [k, versions] : per_writer) model[Key(k)] = versions;
+  }
+  ASSERT_FALSE(scans.empty());
+  for (const ScanAt& s : scans) {
+    ASSERT_EQ(s.entries.size(), static_cast<size_t>(kKeys)) << "@" << s.ts;
+    for (const TsbScanEntry& e : s.entries) {
+      const Versions& versions = model[e.key];
+      auto it = std::upper_bound(
+          versions.begin(), versions.end(), s.ts,
+          [](TsbTime t, const auto& v) { return t < v.first; });
+      ASSERT_NE(it, versions.begin()) << e.key << "@" << s.ts;
+      --it;
+      EXPECT_EQ(e.time, it->first) << e.key << "@" << s.ts;
+      EXPECT_EQ(e.value, it->second) << e.key << "@" << s.ts;
+    }
+  }
+  // The regime ran what it is about: splits under long snapshots, prunes,
+  // and cuts that freed history once they closed.
+  EXPECT_GT(stats.time_splits.load(), 0u);
+  EXPECT_GT(stats.prunes.load(), 0u);
+  EXPECT_GT(stats.chain_cuts.load(), 0u);
+  EXPECT_GT(stats.history_freed.load(), 0u);
   std::string report;
   EXPECT_TRUE(tree_->CheckWellFormed(&report).ok()) << report;
 }

@@ -228,14 +228,17 @@ class RecoveryTest : public ::testing::Test {
     return opts;
   }
 
-  /// Copies the crash image of database "db" (page file, master record and
-  /// every WAL segment; the log must be untruncated) into `to`, so several
+  /// Copies the crash image of database "db" (page file, master record,
+  /// the WAL floor hint and every live WAL segment; a checkpoint's
+  /// truncation may have deleted the first ones) into `to`, so several
   /// recoveries can each start from the same durable state.
   void CloneImage(SimEnv* to) {
-    std::vector<std::string> files = {"db.db", "db.master"};
-    for (uint64_t seq = 1; env_.FileExists(WalSegmentFileName("db.wal", seq));
-         ++seq) {
-      files.push_back(WalSegmentFileName("db.wal", seq));
+    std::vector<std::string> files = {"db.db", "db.master",
+                                      WalFloorHintFileName("db.wal")};
+    for (uint64_t seq = 1; seq < 1024; ++seq) {
+      if (env_.FileExists(WalSegmentFileName("db.wal", seq))) {
+        files.push_back(WalSegmentFileName("db.wal", seq));
+      }
     }
     for (const std::string& f : files) {
       if (!env_.FileExists(f)) continue;
