@@ -59,10 +59,6 @@ struct Options {
   /// logical and every structure change is an independent atomic action.
   bool page_oriented_undo = false;
 
-  /// A node whose live payload falls below this percentage of usable space
-  /// is a consolidation candidate (§3.3).
-  size_t min_node_utilization_pct = 20;
-
   /// Instant restore (DESIGN.md §13). When true, Database::Open returns
   /// after recovery's analysis and undo passes: redo is deferred to a
   /// per-page RecoveryMap that the buffer pool consults on first fetch, so

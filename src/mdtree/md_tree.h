@@ -11,6 +11,7 @@
 #include "common/types.h"
 #include "engine/engine_context.h"
 #include "pitree/node_page.h"
+#include "pitree/pi_tree.h"
 #include "storage/buffer_pool.h"
 #include "txn/transaction.h"
 
@@ -81,7 +82,11 @@ class MdTree {
   MdTree(const MdTree&) = delete;
   MdTree& operator=(const MdTree&) = delete;
 
-  static Status Create(EngineContext* ctx, PageId root);
+  /// Formats `root` as an empty leaf root responsible for the whole space
+  /// (the rectangle lives in its low-boundary field).
+  static Status Create(EngineContext* ctx, PageId root) {
+    return PiTree::Create(ctx, root, EncodeRect(MdRect()));
+  }
 
   Status Insert(Transaction* txn, uint32_t x, uint32_t y, const Slice& value);
   Status Get(Transaction* txn, uint32_t x, uint32_t y, std::string* value);

@@ -19,7 +19,7 @@ PiTree::PiTree(EngineContext* ctx, PageId root) : ctx_(ctx), root_(root) {}
 // lint:tsa-escape -- bootstrap/recovery latches pages across helper
 // calls and error paths; checked by the runtime checker and
 // tools/analyze.
-Status PiTree::Create(EngineContext* ctx, PageId root)
+Status PiTree::Create(EngineContext* ctx, PageId root, const Slice& low)
     NO_THREAD_SAFETY_ANALYSIS {
   Transaction* action = ctx->txns->Begin(/*is_system=*/true);
   PageHandle h;
@@ -30,9 +30,10 @@ Status PiTree::Create(EngineContext* ctx, PageId root)
   }
   h.latch().AcquireX();
   PageInitHeader(h.data(), root, PageType::kTreeNode);
+  const uint8_t bounds =
+      low.empty() ? kBoundLowNegInf | kBoundHighPosInf : kBoundHighPosInf;
   std::string payload = NodeRef::FormatPayload(
-      /*level=*/0, kNodeFlagRoot, kBoundLowNegInf | kBoundHighPosInf,
-      Slice(), Slice(), kInvalidPageId);
+      /*level=*/0, kNodeFlagRoot, bounds, low, Slice(), kInvalidPageId);
   s = LogAndApply(ctx, action, h, PageOp::kNodeFormat, std::move(payload),
                   PageOp::kNone, "");
   h.latch().ReleaseX();
@@ -48,12 +49,12 @@ Status PiTree::Create(EngineContext* ctx, PageId root)
 // Traversal
 // ---------------------------------------------------------------------------
 
-namespace {
 // lint:latch-helper
 // lint:tsa-escape -- mode-dispatched acquire: which capability kind is
 // taken is a runtime value clang cannot model; call sites are checked
 // dynamically (src/analysis/) and by tools/analyze.
-void AcquireMode(Latch& latch, LatchMode mode) NO_THREAD_SAFETY_ANALYSIS {
+void PiTree::AcquireMode(Latch& latch, LatchMode mode)
+    NO_THREAD_SAFETY_ANALYSIS {
   switch (mode) {
     case LatchMode::kShared:
       latch.AcquireS();
@@ -66,7 +67,23 @@ void AcquireMode(Latch& latch, LatchMode mode) NO_THREAD_SAFETY_ANALYSIS {
       break;
   }
 }
-}  // namespace
+
+// lint:tsa-escape -- returns with the root latched for the caller's
+// descent; checked by the runtime checker and tools/analyze.
+LatchMode PiTree::LatchRoot(PageHandle& root, uint8_t target_level,
+                            LatchMode target_mode) NO_THREAD_SAFETY_ANALYSIS {
+  for (;;) {
+    root.latch().AcquireS();
+    if (NodeRef(root.data()).level() != target_level ||
+        target_mode == LatchMode::kShared) {
+      return LatchMode::kShared;
+    }
+    root.latch().ReleaseS();
+    AcquireMode(root.latch(), target_mode);
+    if (NodeRef(root.data()).level() == target_level) return target_mode;
+    root.latch().Release(target_mode);  // the root grew between the latches
+  }
+}
 
 bool PiTree::MoveLockVisible(Transaction* txn, PageId page) const {
   if (!ctx_->options.page_oriented_undo) return false;
@@ -96,11 +113,13 @@ void PiTree::SchedulePosting(OpCtx* op, uint8_t level, PageId from,
 
 void PiTree::MaybeScheduleConsolidate(OpCtx* op, const NodeRef& node,
                                       PageId pid) {
+  // A node whose live payload falls below this percentage of usable space
+  // is a consolidation candidate (§3.3).
+  constexpr size_t kMinNodeUtilizationPct = 20;
   if (!ctx_->options.consolidation_enabled) return;
   if (node.is_root()) return;
   size_t usable = kPageSize - 48;
-  if (node.UsedCellBytes() * 100 >=
-      usable * ctx_->options.min_node_utilization_pct) {
+  if (node.UsedCellBytes() * 100 >= usable * kMinNodeUtilizationPct) {
     return;
   }
   CompletionJob job;
@@ -233,27 +252,7 @@ Status PiTree::DescendTo(OpCtx* op, const Slice& key, uint8_t target_level,
     // Crabbing I/O under a latch is legal regardless.
     // analyze:allow-latch-io -- probe latches released before this fetch
     PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(root_, &cur));
-    NodeRef probe(cur.data());
-    // Latch mode depends on the root's level, which can change (root grow);
-    // loop until mode and level agree.
-    for (;;) {
-      Lsn unlatched_level_guess = 0;
-      (void)unlatched_level_guess;
-      cur_mode = LatchMode::kShared;
-      cur.latch().AcquireS();
-      if (NodeRef(cur.data()).level() == target_level &&
-          target_mode != LatchMode::kShared) {
-        cur.latch().ReleaseS();
-        AcquireMode(cur.latch(), target_mode);
-        if (NodeRef(cur.data()).level() != target_level) {
-          // Root grew between latches; retry.
-          cur.latch().Release(target_mode);
-          continue;
-        }
-        cur_mode = target_mode;
-      }
-      break;
-    }
+    cur_mode = LatchRoot(cur, target_level, target_mode);
     analysis::NoteTreeLevel(&cur.latch(), NodeRef(cur.data()).level());
   }
 
@@ -416,7 +415,7 @@ Status PiTree::ExecuteJob(const CompletionJob& job) {
 }
 
 // ---------------------------------------------------------------------------
-// Optimistic (latch-free) point lookup — DESIGN.md §15
+// Optimistic (latch-free) lookup — DESIGN.md §15
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -430,8 +429,8 @@ constexpr int kOptimisticRetries = 3;
 constexpr int kOptimisticHopLimit = 64;
 
 /// Per-thread page-image scratch for copy-out reads. One page suffices:
-/// the descent fully consumes the parent copy (extracts the next PageId)
-/// before overwriting it with the child.
+/// each hop fully consumes the previous copy (extracts the next PageId)
+/// before overwriting it with the next page.
 char* OptimisticScratch() {
   static thread_local std::unique_ptr<char[]> buf(new char[kPageSize]);
   return buf.get();
@@ -439,7 +438,7 @@ char* OptimisticScratch() {
 }  // namespace
 
 Status PiTree::TryGetOptimisticOnce(OpCtx* op, const Slice& key,
-                                    std::string* value) {
+                                    LeafRead read) {
   BufferPool* pool = ctx_->pool;
   char* buf = OptimisticScratch();
   // Side hops crossed during the descent: possibly-unposted splits whose
@@ -451,7 +450,6 @@ Status PiTree::TryGetOptimisticOnce(OpCtx* op, const Slice& key,
     PageId sibling;
   };
   std::vector<SideHop> side_hops;
-  PageId leaf_pid = kInvalidPageId;
   Status result;
   {
     EpochGuard epoch;
@@ -464,8 +462,7 @@ Status PiTree::TryGetOptimisticOnce(OpCtx* op, const Slice& key,
     if (!pool->ReadConsistent(cur, buf)) {
       return Status::Busy("root copy did not validate");
     }
-    int hop = 0;
-    for (;; ++hop) {
+    for (int hop = 0;; ++hop) {
       if (hop >= kOptimisticHopLimit) {
         return Status::Busy("optimistic hop limit exceeded");
       }
@@ -479,7 +476,7 @@ Status PiTree::TryGetOptimisticOnce(OpCtx* op, const Slice& key,
       if (node.is_deallocated() || !node.AtOrAboveLow(key)) {
         return Status::Busy("optimistic copy does not cover key");
       }
-      PageId next;
+      PageId next = kInvalidPageId;
       if (!node.BelowHigh(key)) {
         next = node.right_sibling();  // B-link side hop (§5.1)
         if (next == kInvalidPageId) {
@@ -488,16 +485,8 @@ Status PiTree::TryGetOptimisticOnce(OpCtx* op, const Slice& key,
         stats_.side_traversals.fetch_add(1, std::memory_order_relaxed);
         side_hops.push_back({node.level(), cur.id(), next});
       } else if (node.is_leaf()) {
-        bool found = false;
-        int slot = node.FindSlot(key, &found);
-        if (found) {
-          *value = node.EntryValue(slot).ToString();
-          result = Status::OK();
-        } else {
-          result = Status::NotFound("key absent");
-        }
-        leaf_pid = cur.id();
-        break;
+        result = read(node, cur.id(), &next);
+        if (next == kInvalidPageId) break;
       } else {
         int slot = node.FindChildSlot(key);
         if (slot < 0) return Status::Busy("no child covers key");
@@ -509,33 +498,31 @@ Status PiTree::TryGetOptimisticOnce(OpCtx* op, const Slice& key,
       }
       OptimisticPage nxt;
       if (!pool->FetchOptimistic(next, &nxt)) {
-        return Status::Busy("child not optimistically resident");
+        return Status::Busy("next page not optimistically resident");
       }
-      // Version coupling: the child's window is open; if the pointer we
+      // Version coupling: the next page's window is open; if the pointer we
       // followed is still current, the windows overlap and the chain of
       // validated states is connected.
       if (!pool->Revalidate(cur)) {
-        return Status::Busy("parent changed while following pointer");
+        return Status::Busy("page changed while following its pointer");
       }
       if (!pool->ReadConsistent(nxt, buf)) {
-        return Status::Busy("child copy did not validate");
+        return Status::Busy("next page copy did not validate");
       }
       cur = nxt;
     }
   }
-  // Epoch closed: schedule the same maintenance hints a latched traversal
-  // would have (§5.1 postings for crossed side pointers, §3.3 consolidation
-  // for the under-utilized leaf). `buf` still holds the validated leaf copy.
+  // Epoch closed: schedule the postings a latched traversal would have for
+  // the side pointers it crossed (§5.1).
   for (const SideHop& h : side_hops) {
     SchedulePosting(op, h.level, h.from, h.sibling, key);
   }
-  MaybeScheduleConsolidate(op, NodeRef(buf), leaf_pid);
   return result;
 }
 
-Status PiTree::GetOptimistic(OpCtx* op, const Slice& key, std::string* value) {
+Status PiTree::GetOptimistic(OpCtx* op, const Slice& key, LeafRead read) {
   for (int attempt = 0; attempt < kOptimisticRetries; ++attempt) {
-    Status s = TryGetOptimisticOnce(op, key, value);
+    Status s = TryGetOptimisticOnce(op, key, read);
     if (!s.IsBusy()) {
       stats_.optimistic_gets.fetch_add(1, std::memory_order_relaxed);
       return s;
@@ -568,7 +555,17 @@ Status PiTree::Get(Transaction* txn, const Slice& key, std::string* value)
       PITREE_RETURN_IF_ERROR(ctx_->locks->Lock(
           txn, RecordLockName(root_, key), LockMode::kS, /*wait=*/true));
     }
-    Status s = GetOptimistic(&op, key, value);
+    // The leaf copy is validated; a consolidation hint for it (§3.3) only
+    // queues a job, so it may be taken inside the epoch section.
+    auto read = [&](const NodeRef& leaf, PageId page, PageId*) {
+      MaybeScheduleConsolidate(&op, leaf, page);
+      bool found = false;
+      int slot = leaf.FindSlot(key, &found);
+      if (!found) return Status::NotFound("key absent");
+      *value = leaf.EntryValue(slot).ToString();
+      return Status::OK();
+    };
+    Status s = GetOptimistic(&op, key, read);
     if (!s.IsBusy()) {
       FlushPending(&op);
       return s;

@@ -3,10 +3,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/function_ref.h"
 #include "common/options.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -67,8 +69,11 @@ class PiTree {
   PiTree(const PiTree&) = delete;
   PiTree& operator=(const PiTree&) = delete;
 
-  /// Formats `root` as an empty leaf root inside an atomic action.
-  static Status Create(EngineContext* ctx, PageId root);
+  /// Formats `root` as an empty leaf root inside an atomic action. `low`
+  /// fills the root's low-boundary field: empty means -inf (the B-link and
+  /// TSB trees); the MdTree keeps its whole-space rectangle there.
+  static Status Create(EngineContext* ctx, PageId root,
+                       const Slice& low = Slice());
 
   // -- transactional record operations ------------------------------------
   /// Inserts (key, value); InvalidArgument for empty keys or if the key
@@ -112,9 +117,22 @@ class PiTree {
   Status LogicalUndo(Transaction* txn, PageOp undo_op, const Slice& payload,
                      Lsn undo_next);
 
+  /// What an instantiation whose data nodes hold more than records adds to
+  /// the audit of each leaf (the TSB-tree's history entry and chain).
+  struct LeafAudit {
+    /// True for an entry that is not a record: the check that records lie
+    /// in the leaf's directly contained space skips it.
+    std::function<bool(const Slice& key)> reserved;
+    /// Further checks of one leaf; `fail` records each violation.
+    std::function<Status(const NodeRef& leaf,
+                         const std::function<void(const std::string&)>& fail)>
+        check;
+  };
+
   /// Structural invariant checker (§2.1.3). Call quiesced. On violation
   /// returns Corruption and, if `report` != nullptr, a description.
-  Status CheckWellFormed(std::string* report) const;
+  Status CheckWellFormed(std::string* report,
+                         const LeafAudit* audit = nullptr) const;
 
   PageId root() const { return root_; }
   const PiTreeStats& stats() const { return stats_; }
@@ -124,7 +142,11 @@ class PiTree {
                                         const Slice& value);
 
  private:
-  friend class PiTreeTestPeer;
+  // The TSB-tree and the MdTree are node-space policies over this core: they
+  // drive its descent, record locking, splits, postings and atomic actions
+  // (DESIGN.md §2).
+  friend class TsbTree;
+  friend class MdTree;
 
   /// Per-operation context threaded through a traversal.
   struct OpCtx {
@@ -141,6 +163,20 @@ class PiTree {
     PageHandle parent;  // valid() only when requested
     bool parent_held = false;
   };
+
+  /// Acquires `latch` in `mode`.
+  static void AcquireMode(Latch& latch, LatchMode mode);
+
+  /// Latches the tree's root: in `target_mode` if it is at `target_level`,
+  /// else S. Returns the mode held. The root's level can change (root grow)
+  /// while no latch is held, so this loops until mode and level agree.
+  static LatchMode LatchRoot(PageHandle& root, uint8_t target_level,
+                             LatchMode target_mode);
+
+  /// Rolls back and ends a failed atomic action. `action_pages` maps pages
+  /// the caller still holds X-latched.
+  static void AbortAction(EngineContext* ctx, Transaction* action,
+                          std::map<PageId, PageHandle*>* action_pages);
 
   /// Descends from the root to the node at `target_level` whose directly
   /// contained space includes `key`, latching per the CP/CNS regime.
@@ -164,22 +200,29 @@ class PiTree {
   void SchedulePosting(OpCtx* op, uint8_t level, PageId from, PageId sibling,
                        const Slice& key);
 
+  /// Reads a lookup's answer out of a validated copy of a level-0 node that
+  /// covers the key (`page` is its id). To continue on another page — the
+  /// TSB-tree's history hop — it sets `*next`, which starts out invalid.
+  /// Runs inside the epoch section: it must not block.
+  using LeafRead =
+      FunctionRef<Status(const NodeRef& node, PageId page, PageId* next)>;
+
   /// Latch-free point lookup (DESIGN.md §15): bounded retries of
   /// TryGetOptimisticOnce. Returns Busy when the optimistic regime cannot
   /// settle (torn copy, structural motion, cold page, epoch slots
-  /// exhausted); the caller falls back to the latched descent. The caller
-  /// must already hold the S record lock (lock-first 2PL), so a successful
-  /// copy-out returns lock-stable committed data.
-  Status GetOptimistic(OpCtx* op, const Slice& key, std::string* value);
+  /// exhausted); the caller falls back to the latched descent. A caller
+  /// reading 2PL data must already hold the S record lock (lock-first 2PL),
+  /// so a successful copy-out returns lock-stable committed data.
+  Status GetOptimistic(OpCtx* op, const Slice& key, LeafRead read);
 
-  /// One epoch-guarded version-validated descent: root to leaf via
-  /// consistent page copies, coupling each hop by revalidating the parent's
-  /// version after the child's optimistic fetch begins. Never latches,
-  /// pins, or blocks inside the epoch section; maintenance hints (§5.1
-  /// postings, §3.3 consolidation) observed along the way are appended to
-  /// `op->pending` after the section closes.
-  Status TryGetOptimisticOnce(OpCtx* op, const Slice& key,
-                              std::string* value);
+  /// One epoch-guarded version-validated descent: root to the leaf covering
+  /// `key` via consistent page copies, coupling each hop by revalidating the
+  /// previous page's version after the next one's optimistic fetch begins,
+  /// then `read` on the leaf and on every page it hops to. Never latches,
+  /// pins, or blocks inside the epoch section; postings for side pointers
+  /// crossed along the way (§5.1) are appended to `op->pending` after the
+  /// section closes.
+  Status TryGetOptimisticOnce(OpCtx* op, const Slice& key, LeafRead read);
 
   /// Acquires a record lock under the No-Wait Rule (§4.1.2): try while
   /// latched; on conflict release the leaf latch, wait, re-latch and
@@ -191,16 +234,24 @@ class PiTree {
   /// Splits the (X-latched) node `h`; caller supplies the atomic action or
   /// user transaction `txn` that owns the split (§4.2 decides which).
   /// On return the sibling is created, `h` carries the sibling term, and
-  /// `*new_sibling` names the new node.
+  /// `*new_sibling` names the new node. The instantiation chooses the
+  /// `separator` (empty: the median entry's key, the B-link choice) and
+  /// names the entries of `h` that both halves keep (`kept`, in key order,
+  /// all below the separator: the TSB-tree's history entry).
   Status SplitNode(Transaction* txn, PageHandle& h, PageId* new_sibling,
-                   std::map<PageId, PageHandle*>* action_pages);
+                   std::map<PageId, PageHandle*>* action_pages,
+                   const Slice& separator = Slice(),
+                   const std::vector<NodeEntry>& kept = {});
 
   /// Grows the tree: the X-latched root is full; creates two children and
   /// turns the root into an index node one level up (§5.3 Space Test).
-  /// `out_children` (nullable) receives the two new page ids.
+  /// `out_children` (nullable) receives the two new page ids. `separator`
+  /// and `kept` are as for SplitNode.
   Status GrowRoot(Transaction* txn, PageHandle& root_h,
                   std::map<PageId, PageHandle*>* action_pages,
-                  PageId out_children[2] = nullptr);
+                  PageId out_children[2] = nullptr,
+                  const Slice& separator = Slice(),
+                  const std::vector<NodeEntry>& kept = {});
 
   /// Allocates / frees a page within `txn` (latches the space map last).
   Status AllocPage(Transaction* txn, PageId* out);
@@ -216,11 +267,6 @@ class PiTree {
   /// Runs `op->pending` jobs, or hands them to the completion sink when a
   /// test or experiment installed one.
   void FlushPending(OpCtx* op);
-
-  /// Rolls back and ends a failed atomic action. `action_pages` maps pages
-  /// the caller still holds X-latched.
-  void AbortAction(Transaction* action,
-                   std::map<PageId, PageHandle*>* action_pages);
 
   /// True if the given leaf (by page id) is covered by a move lock held by
   /// a transaction other than `txn`.

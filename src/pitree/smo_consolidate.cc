@@ -143,7 +143,7 @@ Status PiTree::Consolidate(const CompletionJob& job) NO_THREAD_SAFETY_ANALYSIS {
                              /*wait=*/false);
     }
     if (!la.ok()) {
-      AbortAction(action, nullptr);
+      AbortAction(ctx_, action, nullptr);
       release_all();
       FlushPending(&op);
       return la.IsBusy() ? Status::OK() : la;
@@ -210,7 +210,7 @@ Status PiTree::Consolidate(const CompletionJob& job) NO_THREAD_SAFETY_ANALYSIS {
     NodeRef pafter(parent.data());
     MaybeScheduleConsolidate(&op, pafter, parent.id());
   } else {
-    AbortAction(action, &pages);
+    AbortAction(ctx_, action, &pages);
   }
   release_all();
   FlushPending(&op);

@@ -174,7 +174,7 @@ Status PiTree::PostIndexTerm(const CompletionJob& job)
     d.node.Reset();
     s = ctx_->txns->Commit(action);
   } else {
-    AbortAction(action, &pages);
+    AbortAction(ctx_, action, &pages);
     if (is_x) {
       d.node.latch().ReleaseX();
     } else {

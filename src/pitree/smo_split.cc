@@ -24,33 +24,44 @@ Status PiTree::FreePage(Transaction* txn, PageId page) {
   return EngineFreePage(ctx_, txn, page);
 }
 
-void PiTree::AbortAction(Transaction* action,
+void PiTree::AbortAction(EngineContext* ctx, Transaction* action,
                          std::map<PageId, PageHandle*>* action_pages) {
   if (action->last_lsn != kInvalidLsn) {
-    LogActionAbort(ctx_, action);
-    ctx_->recovery
-        ->RollbackTxnWithPages(action,
-                               action_pages ? *action_pages
-                                            : std::map<PageId, PageHandle*>{})
-        .ok();
-    LogActionEnd(ctx_, action);
+    LogActionAbort(ctx, action);
+    (void)ctx->recovery->RollbackTxnWithPages(
+        action,
+        action_pages ? *action_pages : std::map<PageId, PageHandle*>{});
+    LogActionEnd(ctx, action);
   }
-  ctx_->locks->ReleaseAll(action);
-  ctx_->txns->Discard(action);
+  ctx->locks->ReleaseAll(action);
+  ctx->txns->Discard(action);
 }
 
 // lint:tsa-escape -- atomic-action SMO: latches flow across helpers and
 // error paths; checked by the runtime checker and tools/analyze.
 Status PiTree::SplitNode(Transaction* txn, PageHandle& h, PageId* new_sibling,
-                         std::map<PageId, PageHandle*>* action_pages)
+                         std::map<PageId, PageHandle*>* action_pages,
+                         const Slice& separator,
+                         const std::vector<NodeEntry>& kept)
     NO_THREAD_SAFETY_ANALYSIS {
   NodeRef node(h.data());
   if (node.entry_count() < 2) {
     return Status::NoSpace("node too small to split (oversized record?)");
   }
-  // Partition the directly contained space (§3.2.1 step 2) at the median.
-  std::string split_key = node.MedianKey().ToString();
-  std::vector<NodeEntry> moved = node.EntriesFrom(split_key);
+  // Partition the directly contained space (§3.2.1 step 2) at the
+  // instantiation's separator. The sibling takes the entries at or above
+  // it plus a copy of the entries both halves keep.
+  const std::string split_key = separator.empty()
+                                    ? node.MedianKey().ToString()
+                                    : separator.ToString();
+  std::vector<NodeEntry> moved = kept;
+  for (NodeEntry& e : node.EntriesFrom(split_key)) {
+    moved.push_back(std::move(e));
+  }
+  const size_t stays = node.entry_count() - (moved.size() - kept.size());
+  if (moved.size() == kept.size() || stays <= kept.size()) {
+    return Status::NoSpace("degenerate split: one half would hold nothing");
+  }
   std::string source_image = node.ImagePayload();
 
   // Allocate and build the new sibling. The sibling inherits the source's
@@ -100,17 +111,28 @@ Status PiTree::SplitNode(Transaction* txn, PageHandle& h, PageId* new_sibling,
 // error paths; checked by the runtime checker and tools/analyze.
 Status PiTree::GrowRoot(Transaction* txn, PageHandle& root_h,
                         std::map<PageId, PageHandle*>* action_pages,
-                        PageId out_children[2]) NO_THREAD_SAFETY_ANALYSIS {
+                        PageId out_children[2], const Slice& separator,
+                        const std::vector<NodeEntry>& kept)
+    NO_THREAD_SAFETY_ANALYSIS {
   NodeRef root(root_h.data());
   assert(root.is_root());
   if (root.entry_count() < 2) {
     return Status::NoSpace("root too small to grow");
   }
-  int split_slot = root.entry_count() / 2;
-  std::string split_key = root.EntryKey(split_slot).ToString();
-  std::vector<NodeEntry> all = root.AllEntries();
-  std::vector<NodeEntry> lower(all.begin(), all.begin() + split_slot);
-  std::vector<NodeEntry> upper(all.begin() + split_slot, all.end());
+  const std::string split_key = separator.empty()
+                                    ? root.MedianKey().ToString()
+                                    : separator.ToString();
+  // The kept entries sort below the separator, so the lower half has them
+  // already; the upper half starts with a copy.
+  std::vector<NodeEntry> lower;
+  std::vector<NodeEntry> upper = kept;
+  for (NodeEntry& e : root.AllEntries()) {
+    (Slice(e.key).compare(split_key) < 0 ? lower : upper)
+        .push_back(std::move(e));
+  }
+  if (lower.size() <= kept.size() || upper.size() == kept.size()) {
+    return Status::NoSpace("degenerate root split: a half would hold nothing");
+  }
   std::string root_image = root.ImagePayload();
   uint8_t old_level = root.level();
 
@@ -273,7 +295,7 @@ Status PiTree::SplitLeafForInsert(OpCtx* op, PageHandle* leaf,
 
   if (!s.ok()) {
     if (action != nullptr) {
-      AbortAction(action, &pages);
+      AbortAction(ctx_, action, &pages);
     } else if (user != nullptr) {
       (void)ctx_->recovery->RollbackTxnWithPages(user, pages, savepoint);
     }

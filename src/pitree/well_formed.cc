@@ -9,7 +9,8 @@
 //   6. a root exists that is responsible for the entire space.
 // Additionally checks intra-node ordering, level consistency across child
 // pointers, side-chain boundary agreement, and space-map allocation of
-// every reachable node.
+// every reachable node. An instantiation whose leaves hold more than records
+// (the TSB-tree) extends the leaf checks through a LeafAudit.
 
 #include <sstream>
 
@@ -34,7 +35,8 @@ void Fail(CheckCtx* c, PageId page, const std::string& what) {
 
 }  // namespace
 
-Status PiTree::CheckWellFormed(std::string* report) const {
+Status PiTree::CheckWellFormed(std::string* report,
+                               const LeafAudit* audit) const {
   CheckCtx c;
   PageHandle sm;
   PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(kSpaceMapPage, &sm));
@@ -114,7 +116,8 @@ Status PiTree::CheckWellFormed(std::string* report) const {
           Fail(&c, pid, "entries out of order");
         }
         if (level == 0) {
-          if (!node.DirectlyContains(key)) {
+          if (!node.DirectlyContains(key) &&
+              !(audit != nullptr && audit->reserved(key))) {
             Fail(&c, pid, "data record outside directly contained space");
           }
         } else {
@@ -124,6 +127,11 @@ Status PiTree::CheckWellFormed(std::string* report) const {
             Fail(&c, pid, "index term separator outside node space");
           }
         }
+      }
+
+      if (level == 0 && audit != nullptr) {
+        PITREE_RETURN_IF_ERROR(audit->check(
+            node, [&](const std::string& what) { Fail(&c, pid, what); }));
       }
 
       if (level > 0) {

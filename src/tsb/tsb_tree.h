@@ -10,6 +10,7 @@
 #include "common/types.h"
 #include "engine/engine_context.h"
 #include "pitree/node_page.h"
+#include "pitree/pi_tree.h"
 #include "storage/buffer_pool.h"
 #include "txn/transaction.h"
 
@@ -32,9 +33,7 @@ struct TsbStats {
   std::atomic<uint64_t> chain_cuts{0};     // history pointers cut by a prune
   std::atomic<uint64_t> history_freed{0};  // history pages freed by cuts
   std::atomic<uint64_t> history_hops{0};  // history sibling traversals
-  std::atomic<uint64_t> side_traversals{0};
-  std::atomic<uint64_t> optimistic_gets{0};       // latch-free read successes
-  std::atomic<uint64_t> optimistic_fallbacks{0};  // Busy -> latched descent
+  std::atomic<uint64_t> optimistic_gets{0};  // latch-free read successes
 };
 
 /// One version returned by history queries.
@@ -54,6 +53,12 @@ struct TsbScanEntry {
 
 /// The Time-Split B-tree (paper §2.2.2, Figure 1) as a Π-tree instance:
 /// the second search structure driven by the same atomic-action machinery.
+/// It is a node-space policy over a PiTree core on the same root: the core
+/// descends (CP/CNS traversal, side hops, optimistic copy-out), takes record
+/// locks under the No-Wait Rule, key-splits and grows the root, posts index
+/// terms and audits the current tree; this class adds composite keys, the
+/// history entry and chains, prunes and time splits, and version resolution.
+/// It never consolidates.
 ///
 /// Current nodes are responsible for their key space *and its history*: a
 /// **key sibling pointer** (the B-link side pointer) delegates higher key
@@ -74,8 +79,10 @@ struct TsbScanEntry {
 /// snapshot. Only when pruning frees too little room does the leaf split.
 ///
 /// A prune and the split it may lead to form one independent atomic
-/// action; key-split index-term postings use the same deferred-completion
-/// discipline as the Π-tree.
+/// action, and no split takes a move lock: version inserts log the core's
+/// logical insert undo in both §4.2 regimes, so a rollback finds a version
+/// wherever a key split moved it. Key-split postings are the core's
+/// completing actions (§5.1).
 ///
 /// Storage mapping: records are composite-keyed (user_key · 0x00 · time) in
 /// ordinary tree-node pages; the history sibling term is a reserved entry
@@ -89,11 +96,10 @@ struct TsbScanEntry {
 /// generality claim while keeping the index single-dimension.
 class TsbTree {
  public:
+  /// Attaches to a tree whose root was formatted by PiTree::Create.
   TsbTree(EngineContext* ctx, PageId root);
   TsbTree(const TsbTree&) = delete;
   TsbTree& operator=(const TsbTree&) = delete;
-
-  static Status Create(EngineContext* ctx, PageId root);
 
   /// Returns a fresh timestamp greater than any returned before. Delegates
   /// to the engine's oracle when present so version times, split times, and
@@ -148,18 +154,21 @@ class TsbTree {
   Status History(Transaction* txn, const Slice& key,
                  std::vector<TsbVersion>* versions);
 
-  /// Structural sanity checker for the TSB instance: current-level B-link
-  /// invariants, plus along every history chain: split times strictly
+  /// Structural sanity checker for the TSB instance: the core's audit of
+  /// the current tree, plus along every history chain: split times strictly
   /// decrease, prune floors never rise, key ranges never narrow, and every
   /// page is allocated in the space map.
   Status CheckWellFormed(std::string* report) const;
 
   /// Debug/figure support: renders the node partition (current + history
-  /// chains) as text — used by bench_fig1_tsb to reproduce Figure 1.
-  Status DumpStructure(std::string* out) const;
+  /// chains) as text — used by bench_fig1_tsb to reproduce Figure 1. Call
+  /// quiesced.
+  Status DumpStructure(std::string* out);
 
-  PageId root() const { return root_; }
+  PageId root() const { return core_.root(); }
   const TsbStats& stats() const { return stats_; }
+  /// The core's counters: side traversals, postings, index splits.
+  const PiTreeStats& core_stats() const { return core_.stats(); }
 
   // Composite-key helpers (exposed for tests).
   static std::string CompositeKey(const Slice& key, TsbTime t);
@@ -186,12 +195,6 @@ class TsbTree {
   Status SetHistoryTerm(Transaction* owner, PageHandle& node,
                         const HistoryTerm* prior, const HistoryTerm& next);
 
-  /// Descends the current tree to the leaf covering `key`, latched in
-  /// `mode`; appends unposted-split completions to `pending`.
-  Status DescendToLeaf(Transaction* txn, const Slice& key, LatchMode mode,
-                       PageHandle* leaf,
-                       std::vector<std::pair<PageId, std::string>>* pending);
-
   /// Prunes the X-latched current leaf at watermark `w` (atomic action
   /// owner `action`; allocates no page): drops the versions no reader at
   /// or after `w` can reach, cuts a history pointer whose split time is
@@ -206,10 +209,13 @@ class TsbTree {
   Status FreeChain(Transaction* action, PageHandle& leaf, PageId first);
 
   /// A leaf's entries (`all`, in key order) without the versions a writer
-  /// may still roll back: a key's newest version above `w` whose record
-  /// lock is held. Versions at or below `w` are committed (the watermark
-  /// stays below every active writer), and only a key's newest version can
-  /// be uncommitted, since writers of one key take turns under its X lock.
+  /// may still roll back. Versions at or below `w` are committed (the
+  /// watermark stays below every active writer). Above it, a key whose
+  /// record lock is held keeps back the versions its lock holder may have
+  /// written: writers of one key take turns under its X lock, so those are
+  /// the key's newest version and each older one that a held-back version
+  /// tagged as a rewrite follows (one transaction may write a key more than
+  /// once: Erase, then Put).
   std::vector<NodeEntry> CommittedEntries(std::vector<NodeEntry> all,
                                           TsbTime w);
 
@@ -220,22 +226,12 @@ class TsbTree {
   Status TimeSplit(Transaction* action, PageHandle& leaf, TsbTime t,
                    const std::vector<NodeEntry>& committed);
 
-  /// Splits the X-latched current leaf by key (atomic action), copying the
-  /// history term into the new sibling. Returns the new sibling and its
-  /// low key for posting.
-  Status KeySplit(Transaction* action, PageHandle& leaf, PageId* sibling,
-                  std::string* split_key);
-
-  /// Grows the root exactly like the Π-tree (immortal root page).
-  Status GrowRoot(Transaction* action, PageHandle& root_h);
-
-  /// Posts (sep -> sibling) into the parent level, completing key splits.
-  Status PostKeySplit(const Slice& approx_key);
-
-  /// Makes room in a full leaf: prunes it at the watermark, and splits it
-  /// only if that freed too little (§2.2.2 policy: time split when enough
-  /// versions are dead after the split time, else key split).
-  Status SplitLeaf(PageHandle* leaf);
+  /// Makes room in the U-latched full leaf (released on return): prunes it
+  /// at the watermark, and splits it only if that freed too little (§2.2.2
+  /// policy: time split when enough versions are dead after the split
+  /// time, else key split through the core). Schedules a key split's
+  /// posting in `op`.
+  Status SplitLeaf(PiTree::OpCtx* op, PageHandle* leaf);
 
   Status WriteVersion(Transaction* txn, const Slice& key, TsbTime t,
                       bool tombstone, const Slice& value);
@@ -247,36 +243,32 @@ class TsbTree {
                       const Slice& value);
   TsbTime AllocateVersionTs(Transaction* txn);
 
-  /// Latch-free as-of lookup (DESIGN.md §15): bounded retries of
-  /// TryGetOptimisticOnce; Busy means the optimistic regime could not
-  /// settle and the caller must take the latched path. GetAsOf callers
-  /// hold the S record lock first (lock-first 2PL); SnapshotGet needs no
-  /// lock at all — versions at or below a snapshot time are immutable.
-  /// `pending` (nullable, like DescendToLeaf's) receives unposted-key-split
-  /// completion hints noticed along the way.
-  Status GetOptimistic(const Slice& key, TsbTime t, std::string* value,
-                       std::vector<std::pair<PageId, std::string>>* pending);
+  /// Resolves `key` at time `t` in one node of its chain (`probe` is
+  /// CompositeKey(key, t)): the answer, or, with `*next` set, the history
+  /// node to continue in. SnapshotTooOld when `t` is below the node's prune
+  /// floor.
+  Status ResolveInNode(const NodeRef& node, const Slice& key,
+                       const Slice& probe, TsbTime t, std::string* value,
+                       PageId* next);
 
-  /// One epoch-guarded copy-out traversal: descends the current tree by
-  /// CompositeKey(key, 0) with version coupling, then resolves the version
-  /// along the history chain on validated copies (the latch-free mirror of
-  /// DescendToLeaf + ReadVersionInChain). Completion hints are appended to
-  /// `pending` only after the epoch section closes (the move-lock probe
-  /// blocks on a lock-table mutex).
-  Status TryGetOptimisticOnce(
-      const Slice& key, TsbTime t, std::string* value,
-      std::vector<std::pair<PageId, std::string>>* pending);
+  /// Latch-free as-of lookup (DESIGN.md §15) through the core's optimistic
+  /// descent, resolving the version along the history chain on validated
+  /// copies. Busy means the optimistic regime could not settle and the
+  /// caller must take the latched path. GetAsOf callers hold the S record
+  /// lock first (lock-first 2PL); SnapshotGet needs no lock at all —
+  /// versions at or below a snapshot time are immutable.
+  Status GetOptimistic(PiTree::OpCtx* op, const Slice& key, TsbTime t,
+                       std::string* value);
 
   /// Resolves `key` at time `t` starting from the S-latched chain node
   /// `cur` (the current leaf covering the key), following history sibling
-  /// pointers while every version here is newer than `t`; SnapshotTooOld
-  /// when `t` is below a node's prune floor. Consumes `cur` (latch
-  /// released on every path).
+  /// pointers while every version here is newer than `t`. Consumes `cur`
+  /// (latch released on every path).
   Status ReadVersionInChain(PageHandle cur, const Slice& key, TsbTime t,
                             std::string* value);
 
   EngineContext* const ctx_;
-  const PageId root_;
+  PiTree core_;
   std::atomic<TsbTime> clock_{1};
   mutable TsbStats stats_;
 };

@@ -4,9 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -123,6 +128,57 @@ TEST_F(MdTreeTest, ManyPointsForceKdSplitsAllRemainSearchable) {
     ASSERT_TRUE(GetOne(pt.first, pt.second, &got).ok())
         << pt.first << "," << pt.second;
     EXPECT_EQ(got, v);
+  }
+}
+
+// An insert that drops S on a leaf root and waits for its U latch must not
+// descend with the wrong mode if another insert grows the root meanwhile.
+TEST_F(MdTreeTest, InsertRelatchesRootThatGrewWhileItWaited) {
+  const std::string value(200, 'g');
+  BufferPool* pool = db_->context()->pool;
+  auto root_fits_another = [&] {
+    PageHandle h;
+    EXPECT_TRUE(pool->FetchPage(root_, &h).ok());
+    h.latch().AcquireS();
+    const bool fits = NodeRef(h.data()).CanFit(MdTree::PointKey(0, 0).size(),
+                                               value.size());
+    h.latch().ReleaseS();
+    return fits;
+  };
+  uint32_t n = 0;
+  while (root_fits_another()) {
+    ASSERT_TRUE(InsertOne(n, n, value).ok());
+    ++n;
+  }
+  ASSERT_EQ(tree_->stats().root_grows.load(), 0u);
+
+  // Hold the full root's U latch: both inserts take S, see a leaf, drop S
+  // and block re-latching the root in U.
+  PageHandle root;
+  ASSERT_TRUE(pool->FetchPage(root_, &root).ok());
+  root.latch().AcquireU();
+  std::thread a([&] { EXPECT_TRUE(InsertOne(1000, 1000, value).ok()); });
+  std::thread b([&] { EXPECT_TRUE(InsertOne(1001, 1001, value).ok()); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  root.latch().ReleaseU();
+  root.Reset();
+  a.join();
+  b.join();
+  EXPECT_EQ(tree_->stats().root_grows.load(), 1u);
+
+  // Splits now post into the grown root, which must still latch U/X.
+  auto more = std::async(std::launch::async, [&] {
+    for (uint32_t i = 0; i < 400; ++i) {
+      EXPECT_TRUE(InsertOne(2000 + i, 2000 + i, value).ok()) << i;
+    }
+  });
+  if (more.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    std::fprintf(stderr, "inserts into the grown root hung\n");
+    std::abort();
+  }
+  std::string v;
+  for (uint32_t i : {0u, 1000u, 1001u, 2000u, 2399u}) {
+    EXPECT_TRUE(GetOne(i, i, &v).ok()) << i;
   }
 }
 

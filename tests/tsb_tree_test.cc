@@ -8,8 +8,10 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -357,6 +359,91 @@ TEST_F(TsbTreeTest, SurvivesCrashAndRecovery) {
   (void)db2->Commit(txn);
 }
 
+// One transaction's tombstone and the version after it are both
+// uncommitted. A time split under the pinning snapshot must leave both in
+// the current node, where the abort finds and removes them, and copy
+// neither into history.
+TEST_F(TsbTreeTest, AbortAfterTimeSplitRemovesEveryVersionOfTheWriter) {
+  ASSERT_TRUE(PutOne("k", "committed", tree_->Now()).ok());
+  Transaction* writer = db_->Begin();
+  ASSERT_TRUE(tree_->Erase(writer, "k", tree_->Now()).ok());
+  ASSERT_TRUE(tree_->Put(writer, "k", "aborted", tree_->Now()).ok());
+  const std::string value(200, 'u');
+  for (int round = 0; round < 60 && tree_->stats().time_splits.load() == 0;
+       ++round) {
+    for (int k = 0; k < 8; ++k) {
+      ASSERT_TRUE(PutOne(Key(k), value + std::to_string(round),
+                         tree_->Now()).ok());
+    }
+  }
+  ASSERT_GT(tree_->stats().time_splits.load(), 0u);
+  ASSERT_TRUE(db_->Abort(writer).ok());
+
+  std::string v;
+  ASSERT_TRUE(GetAsOf("k", kTsbTimeMax, &v).ok());
+  EXPECT_EQ(v, "committed");
+  Transaction* txn = db_->Begin();
+  std::vector<TsbVersion> versions;
+  ASSERT_TRUE(tree_->History(txn, "k", &versions).ok());
+  (void)db_->Commit(txn);
+  ASSERT_EQ(versions.size(), 1u);
+  EXPECT_FALSE(versions[0].deleted);
+  EXPECT_EQ(versions[0].value, "committed");
+  std::string report;
+  EXPECT_TRUE(tree_->CheckWellFormed(&report).ok()) << report;
+}
+
+// Every key split is posted, at every level: once one read pass has run
+// the postings still owed, a second pass crosses no side pointer, and every
+// level-1 node has an index term in the level-2 root.
+TEST_F(TsbTreeTest, EveryKeySplitIsPostedAtEveryLevel) {
+  constexpr int kKeys = 6000;
+  std::vector<int> order(kKeys);
+  for (int i = 0; i < kKeys; ++i) order[i] = i;
+  Random rnd(21);
+  for (int i = kKeys - 1; i > 0; --i) {
+    std::swap(order[i], order[rnd.Uniform(i + 1)]);
+  }
+  const std::string value(1024, 'p');
+  for (int i : order) ASSERT_TRUE(PutOne(Key(i), value, tree_->Now()).ok());
+
+  auto side_hops_of_read_pass = [&] {
+    const uint64_t before = tree_->core_stats().side_traversals.load();
+    std::string v;
+    for (int i = 0; i < kKeys; ++i) {
+      EXPECT_TRUE(GetAsOf(Key(i), kTsbTimeMax, &v).ok()) << i;
+    }
+    return tree_->core_stats().side_traversals.load() - before;
+  };
+  side_hops_of_read_pass();
+  EXPECT_EQ(side_hops_of_read_pass(), 0u);
+
+  BufferPool* pool = db_->context()->pool;
+  PageHandle root;
+  ASSERT_TRUE(pool->FetchPage(tree_->root(), &root).ok());
+  NodeRef r(root.data());
+  ASSERT_EQ(r.level(), 2);
+  std::set<PageId> posted;
+  for (int i = 0; i < r.entry_count(); ++i) {
+    IndexTerm term;
+    ASSERT_TRUE(DecodeIndexTerm(r.EntryValue(i), &term));
+    posted.insert(term.child);
+  }
+  IndexTerm leftmost;
+  ASSERT_TRUE(DecodeIndexTerm(r.EntryValue(0), &leftmost));
+  int level1_nodes = 0;
+  for (PageId at = leftmost.child; at != kInvalidPageId;) {
+    EXPECT_EQ(posted.count(at), 1u) << "level-1 node " << at;
+    ++level1_nodes;
+    PageHandle h;
+    ASSERT_TRUE(pool->FetchPage(at, &h).ok());
+    at = NodeRef(h.data()).right_sibling();
+  }
+  EXPECT_GT(level1_nodes, 2);
+  std::string report;
+  EXPECT_TRUE(tree_->CheckWellFormed(&report).ok()) << report;
+}
+
 // ---------------------------------------------------------------------------
 // History retention: with no snapshot pinning it, the tree keeps only the
 // history the oracle's low watermark can still reach.
@@ -655,6 +742,57 @@ TEST_F(TsbRetentionTest, PutRelatchesRootThatGrewWhileItWaited) {
   std::string v;
   for (int i : {0, 1000, 1001, 2000, 2399}) {
     EXPECT_TRUE(GetAsOf(Key(i), kTsbTimeMax, &v).ok()) << i;
+  }
+}
+
+// A version that a root grow and key splits moved to other pages still
+// rolls back: its undo is logical and finds it wherever it went. The abort
+// then releases the record lock and the oracle's writer registration.
+TEST_F(TsbRetentionTest, AbortFindsVersionThatSplitsMoved) {
+  Open();
+  const std::string value(200, 'm');
+  Transaction* writer = db_->Begin();
+  ASSERT_TRUE(tree_->Put(writer, Key(500), "aborted").ok());
+  for (int i = 0; i < 400; ++i) CommitPut(Key(i), value);
+  ASSERT_GT(tree_->stats().root_grows.load(), 0u);
+  ASSERT_GT(tree_->stats().key_splits.load(), 0u);
+  ASSERT_TRUE(db_->Abort(writer).ok());
+  ExpectWellFormed();
+
+  std::string v;
+  EXPECT_TRUE(GetAsOf(Key(500), kTsbTimeMax, &v).IsNotFound());
+  // Snapshots read above the commits made while the writer ran.
+  auto snap = db_->BeginSnapshot();
+  EXPECT_TRUE(snap->Get(tree_, Key(500), &v).IsNotFound());
+  ASSERT_TRUE(snap->Get(tree_, Key(399), &v).ok());
+  EXPECT_EQ(v, value);
+  snap.reset();
+  CommitPut(Key(500), "after");
+  ASSERT_TRUE(GetAsOf(Key(500), kTsbTimeMax, &v).ok());
+  EXPECT_EQ(v, "after");
+}
+
+// The same rollback, run by restart recovery after a crash.
+TEST_F(TsbRetentionTest, RestartUndoFindsVersionThatSplitsMoved) {
+  Open();
+  const std::string value(200, 'm');
+  Transaction* writer = db_->Begin();
+  ASSERT_TRUE(tree_->Put(writer, Key(500), "lost").ok());
+  // Each commit forces the log, the writer's insert with it.
+  for (int i = 0; i < 400; ++i) CommitPut(Key(i), value);
+  ASSERT_GT(tree_->stats().root_grows.load(), 0u);
+  ASSERT_GT(tree_->stats().key_splits.load(), 0u);
+  env_.Crash();
+  harness::AbandonDatabase(db_);
+
+  ASSERT_TRUE(Database::Open(opts_, &env_, "db", &db_).ok());
+  ASSERT_TRUE(db_->GetTsbIndex("versions", &tree_).ok());
+  ExpectWellFormed();
+  std::string v;
+  EXPECT_TRUE(GetAsOf(Key(500), kTsbTimeMax, &v).IsNotFound());
+  for (int i : {0, 200, 399}) {
+    ASSERT_TRUE(GetAsOf(Key(i), kTsbTimeMax, &v).ok()) << i;
+    EXPECT_EQ(v, value);
   }
 }
 
