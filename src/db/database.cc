@@ -314,25 +314,9 @@ Status Database::GetTsbIndex(const std::string& name, TsbTree** tree) {
 Status Database::WaitUntilRecovered() {
   // Drive the drain directly instead of waiting on the sweeper: fetching a
   // pending page replays it (and retires the map entry) whether or not a
-  // sweeper thread exists. Busy means the page's shard is transiently full
-  // of pins — back off briefly and retry; a persistently full shard
-  // surfaces after the retry budget rather than spinning forever.
-  PageId floor = 0;
-  int busy_streak = 0;
-  PageId pid;
-  while (recovery_map_->FirstPendingAtLeast(floor, &pid)) {
-    PageHandle h;
-    Status s = pool_->FetchPage(pid, &h);
-    if (s.IsBusy()) {
-      if (++busy_streak > 1000) return s;
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      continue;
-    }
-    PITREE_RETURN_IF_ERROR(s);
-    busy_streak = 0;
-    floor = pid + 1;
-  }
-  return Status::OK();
+  // sweeper thread exists. The drain's fetchers back off on a shard that
+  // foreground pins keep full, and surface Busy if it stays full.
+  return recovery_->DrainRedo(nullptr);
 }
 
 void Database::RecoverySweepLoop() {
@@ -422,8 +406,9 @@ void Database::CheckpointLoop() {
     // the truncation floor — actually advances. Without writeback the
     // oldest dirty page's recLSN pins the floor forever and the WAL never
     // shrinks. A full flush is a stand-in for incremental writeback
-    // (ROADMAP item 5); the checkpoint stays fuzzy either way — no
-    // quiescing, traffic keeps dirtying pages while we flush.
+    // (ROADMAP, "Deferred by measurement: Incremental write-back"); the
+    // checkpoint stays fuzzy either way — no quiescing, traffic keeps
+    // dirtying pages while we flush.
     Status s = pool_->FlushAll();
     Lsn begin = 0;
     Lsn floor = 0;

@@ -86,10 +86,11 @@ class Database {
 
   // -- recovery -------------------------------------------------------------
   /// Blocks until every page pending lazy redo has been replayed (a no-op
-  /// after offline recovery, or once the map has drained). Drives the drain
-  /// itself — it does not merely wait on the sweeper — so it converges even
-  /// with Options::recovery_sweeper off. Call with no transactions' latches
-  /// held (it fetches pages).
+  /// after offline recovery, or once the map has drained). Runs the same
+  /// parallel drain as offline redo (RecoveryManager::DrainRedo) — it does
+  /// not merely wait on the sweeper — so it converges even with
+  /// Options::recovery_sweeper off. Call with no transactions' latches held
+  /// (it fetches pages).
   Status WaitUntilRecovered();
 
   /// Pages still awaiting lazy redo; zero once recovery has fully repeated

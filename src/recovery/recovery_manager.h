@@ -73,9 +73,13 @@ class RecoveryManager {
   Status RunAnalysis(RecoveryStats* stats);
 
   /// Eagerly repeats history: fetches every pending page, which replays
-  /// its range through the buffer pool's RecoveryMap hook. Offline mode
-  /// runs this before undo; instant restore skips it and lets demand plus
-  /// the background sweeper drain the map instead.
+  /// its range through the buffer pool's RecoveryMap hook. The pages are
+  /// shared out among up to kRedoFetchers threads (recovery_manager.cc);
+  /// each replay runs under its own frame claim, so they need no other
+  /// synchronization. The first error wins, and every fetcher has been
+  /// joined when this returns. Offline mode runs this before undo; instant
+  /// restore skips it and lets demand plus the background sweeper drain
+  /// the map instead, and Database::WaitUntilRecovered runs it to finish.
   Status DrainRedo(RecoveryStats* stats);
 
   /// Undo pass over the losers RunAnalysis found (their page fetches

@@ -131,6 +131,14 @@ bool RecoveryMap::FirstPendingAtLeast(PageId floor, PageId* out) const {
   return true;
 }
 
+std::vector<PageId> RecoveryMap::PendingPageIds() const {
+  std::vector<PageId> out;
+  MutexLock lk(&mu_);
+  out.reserve(pending_.size());
+  for (const auto& [page, entry] : pending_) out.push_back(page);
+  return out;
+}
+
 std::vector<std::pair<PageId, Lsn>> RecoveryMap::PendingDpt() const {
   std::vector<std::pair<PageId, Lsn>> out;
   MutexLock lk(&mu_);

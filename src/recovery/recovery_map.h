@@ -95,9 +95,13 @@ class RecoveryMap {
 
   bool HasPending(PageId id) const;
 
-  /// Smallest pending page id >= `floor`; the cursor walk of DrainRedo,
-  /// the sweeper and WaitUntilRecovered. O(log pending).
+  /// Smallest pending page id >= `floor`; the cursor walk of the paced
+  /// sweeper. O(log pending).
   bool FirstPendingAtLeast(PageId floor, PageId* out) const;
+
+  /// Every still-pending page id, ascending: the work list of
+  /// RecoveryManager::DrainRedo's fetchers.
+  std::vector<PageId> PendingPageIds() const;
 
   /// (page, recLSN) for every still-pending page. Checkpoints merge this
   /// into the pool's DPT: a pending page is dirty-in-spirit — its durable

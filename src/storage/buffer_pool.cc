@@ -127,7 +127,7 @@ void PageHandle::Reset() {
 }
 
 char* PageHandle::data() const {
-  return pool_->frames_[frame_idx_]->data.get();
+  return pool_->frames_[frame_idx_]->data;
 }
 
 PageId PageHandle::id() const { return pool_->frames_[frame_idx_]->page_id; }
@@ -153,11 +153,15 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity,
   for (size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
+  // Default-initialized: the constructor writes no frame byte, so the OS
+  // maps each page of the arena on first touch, by the fetch that reads
+  // into it, not here (DESIGN.md §9).
+  arena_.reset(new char[capacity * kPageSize]);
   frames_.reserve(capacity);
   for (size_t i = 0; i < capacity; ++i) {
     frames_.push_back(std::make_unique<Frame>());
     Frame& f = *frames_.back();
-    f.data.reset(new char[kPageSize]);
+    f.data = arena_.get() + i * kPageSize;
     f.shard = static_cast<uint32_t>(i & shard_mask_);
     shards_[f.shard]->frames.push_back(i);
   }
@@ -308,7 +312,7 @@ bool BufferPool::ReadConsistent(const OptimisticPage& page, char* dst,
   // storage), so the copy itself is well-defined loads of live memory.
   TsanIgnoreReadsBegin();
   // lint:olc-validated -- seqlock copy, checked by the Validate below
-  memcpy(dst, f.data.get() + offset, len);
+  memcpy(dst, f.data + offset, len);
   TsanIgnoreReadsEnd();
   const bool ok = f.latch.Validate(page.version_);
   ShardCounters& stats = shards_[f.shard]->stats;
@@ -375,7 +379,7 @@ Status BufferPool::FetchInternal(PageId id, bool zeroed, PageHandle* handle)
       f.published.store(kInvalidPageId, std::memory_order_relaxed);
       const bool claimed = f.latch.TryBeginReclaim();
       if (claimed) EpochManager::Global()->WaitGracePeriod();
-      memset(f.data.get(), 0, kPageSize);
+      memset(f.data, 0, kPageSize);
       if (claimed) f.latch.EndReclaim();
       f.published.store(id, std::memory_order_release);
       OptIndexInsert(shard, id, it->second);
@@ -485,7 +489,7 @@ Status BufferPool::FetchInternal(PageId id, bool zeroed, PageHandle* handle)
     // supersedes the dead incarnation's pending history.
     if (recovery_map_ != nullptr) recovery_map_->DiscardPending(id);
     if (reclaim_claimed) EpochManager::Global()->WaitGracePeriod();
-    memset(f.data.get(), 0, kPageSize);
+    memset(f.data, 0, kPageSize);
   } else {
     lk.Unlock();
     // Quiesce unpinned readers of the old incarnation before its bytes are
@@ -494,14 +498,14 @@ Status BufferPool::FetchInternal(PageId id, bool zeroed, PageHandle* handle)
     // No latch is held here: the victim's S hold (if any) ended inside
     // FlushFrame; only the version-word reclaim claim spans this read.
     // analyze:allow-latch-io -- frame read under reclaim claim, no latch
-    s = DoRead(id, f.data.get());
+    s = DoRead(id, f.data);
     if (s.ok() && recovery_map_ != nullptr) {
       // Lazy redo (DESIGN.md §13): repeat this page's history onto the
       // fresh image while the frame is still claimed. Same discipline as
       // the read itself — no shard mutex held, page latch untouched; the
       // io_in_progress claim keeps every other fetcher of this page parked
       // until the recovered image is published.
-      s = recovery_map_->ReplayOnto(id, f.data.get(), &replay_had_entry,
+      s = recovery_map_->ReplayOnto(id, f.data, &replay_had_entry,
                                     &replay_applied, &replay_rec_lsn);
     }
     lk.Lock();
@@ -597,7 +601,7 @@ Status BufferPool::FlushFrame(Shard& shard, ShardLock& lk, Frame& f,
   // LSN covers — the disk image can never be torn relative to the WAL.
   if (!latched) f.latch.AcquireS();
   char* snap = FlushScratch();
-  memcpy(snap, f.data.get(), kPageSize);
+  memcpy(snap, f.data, kPageSize);
   f.latch.ReleaseS();
   // WAL protocol: the log must cover this page's last update before the
   // page overwrites its disk image.

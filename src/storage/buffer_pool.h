@@ -228,7 +228,7 @@ class BufferPool {
 
   struct Frame {
     Latch latch;
-    std::unique_ptr<char[]> data;
+    char* data = nullptr;  // this frame's kPageSize bytes of arena_
     PageId page_id = kInvalidPageId;
     int pin_count = 0;
     bool dirty = false;
@@ -338,6 +338,8 @@ class BufferPool {
   const EnsureDurableFn ensure_durable_;
   RecoveryMap* recovery_map_ = nullptr;
 
+  /// Every frame's page bytes in one allocation, frame i at i * kPageSize.
+  std::unique_ptr<char[]> arena_;
   // unique_ptr because Frame contains a Latch and Shard a mutex; neither is
   // movable or copyable.
   std::vector<std::unique_ptr<Frame>> frames_;

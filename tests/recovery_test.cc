@@ -17,6 +17,7 @@
 #include <map>
 #include <thread>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <vector>
@@ -277,10 +278,9 @@ class RecoveryTest : public ::testing::Test {
   SimEnv env_;
 };
 
-// The cursor walk behind DrainRedo, the sweeper and WaitUntilRecovered:
-// pending page ids come back in ascending order, the floor is inclusive,
-// and entries retired while a walk is under way (demand fetches racing the
-// sweeper) are never returned again.
+// The cursor walk behind the paced sweeper: pending page ids come back in
+// ascending order, the floor is inclusive, and entries retired while a walk
+// is under way (demand fetches racing the sweeper) are never returned again.
 TEST(RecoveryMapTest, PendingWalkIsAscendingFromFloor) {
   RecoveryMap map(nullptr);
   std::map<PageId, RecoveryMap::PendingPage> pending;
@@ -970,6 +970,165 @@ TEST_F(RecoveryTest, RecoveredPagesMatchPreCrashImages) {
           << (instant ? "instant" : "offline") << " restore, page " << page;
     }
   }
+}
+
+// Offline redo fetches its pending pages on several threads. A page-file
+// read that fails there fails Open with that error, after every fetcher has
+// stopped; the log is untouched, so once the device reads again the next
+// Open repeats the same history.
+TEST_F(RecoveryTest, RedoReadFaultFailsOpenThenNextOpenRecovers) {
+  Options opts = DefaultOptions();
+  opts.buffer_pool_pages = 4096;  // nothing evicts: every page is pending
+  constexpr int kKeys = 3000;
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(opts, &env_, "db", &db).ok());
+    PiTree* tree;
+    ASSERT_TRUE(db->CreateIndex("t", &tree).ok());
+    const std::string value(150, 'v');
+    for (int i = 0; i < kKeys; ++i) {
+      Transaction* txn = db->Begin();
+      ASSERT_TRUE(tree->Insert(txn, Key(i), value).ok());
+      ASSERT_TRUE(db->Commit(txn).ok());
+    }
+    env_.Crash();
+    harness::AbandonDatabase(db);
+  }
+  // Declared before the databases, so it outlives their shutdown.
+  FaultPlan plan;
+  // Every page-file read fails from the first on; the WAL reads normally,
+  // so analysis succeeds and the fault lands in redo.
+  plan.FailNth(FaultOp::kRead, 0, Status::IOError("injected: page read"),
+               /*sticky=*/true, "db.db");
+  opts.fault_plan = &plan;
+  env_.set_read_delay_us(50);  // fetchers overlap on the slow device
+  {
+    std::unique_ptr<Database> db;
+    Status s = Database::Open(opts, &env_, "db", &db);
+    ASSERT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_NE(s.ToString().find("injected"), std::string::npos);
+    EXPECT_TRUE(db == nullptr);
+    // A fetcher still running would go on reading (and failing).
+    const uint64_t reads = plan.op_count(FaultOp::kRead);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(plan.op_count(FaultOp::kRead), reads);
+  }
+  env_.set_read_delay_us(0);
+  plan.ClearErrorRules();
+  RecoveryStats stats;
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(opts, &env_, "db", &db, &stats).ok());
+  EXPECT_GT(stats.records_redone, static_cast<uint64_t>(kKeys));
+  PiTree* tree;
+  ASSERT_TRUE(db->GetIndex("t", &tree).ok());
+  std::string report;
+  ASSERT_TRUE(tree->CheckWellFormed(&report).ok()) << report;
+  Transaction* txn = db->Begin();
+  std::string v;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(tree->Get(txn, Key(i), &v).ok()) << Key(i);
+  }
+  (void)db->Commit(txn);
+  db.reset();
+  env_.InstallFaultPlan(nullptr);
+}
+
+/// Records which threads read the page file; everything else passes
+/// through to the wrapped env.
+class ReadThreadsEnv : public Env {
+ public:
+  explicit ReadThreadsEnv(Env* base) : base_(base) {}
+
+  Status OpenFile(const std::string& name,
+                  std::unique_ptr<File>* file) override {
+    std::unique_ptr<File> inner;
+    PITREE_RETURN_IF_ERROR(base_->OpenFile(name, &inner));
+    if (name == "db.db") {
+      file->reset(new RecordingFile(std::move(inner), this));
+    } else {
+      *file = std::move(inner);
+    }
+    return Status::OK();
+  }
+  bool FileExists(const std::string& name) const override {
+    return base_->FileExists(name);
+  }
+  Status DeleteFile(const std::string& name) override {
+    return base_->DeleteFile(name);
+  }
+  Status WriteFileAtomic(const std::string& name,
+                         const Slice& data) override {
+    return base_->WriteFileAtomic(name, data);
+  }
+  Status ReadFileToString(const std::string& name,
+                          std::string* data) override {
+    return base_->ReadFileToString(name, data);
+  }
+  void InstallFaultPlan(FaultPlan* plan) override {
+    base_->InstallFaultPlan(plan);
+  }
+
+  std::set<std::thread::id> readers() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return readers_;
+  }
+
+ private:
+  class RecordingFile : public File {
+   public:
+    RecordingFile(std::unique_ptr<File> inner, ReadThreadsEnv* env)
+        : inner_(std::move(inner)), env_(env) {}
+    Status Read(uint64_t offset, size_t n, Slice* result,
+                char* scratch) const override {
+      {
+        std::lock_guard<std::mutex> lk(env_->mu_);
+        env_->readers_.insert(std::this_thread::get_id());
+      }
+      return inner_->Read(offset, n, result, scratch);
+    }
+    Status Write(uint64_t offset, const Slice& data) override {
+      return inner_->Write(offset, data);
+    }
+    Status Sync() override { return inner_->Sync(); }
+    uint64_t Size() const override { return inner_->Size(); }
+    Status Truncate(uint64_t size) override { return inner_->Truncate(size); }
+
+   private:
+    std::unique_ptr<File> inner_;
+    ReadThreadsEnv* const env_;
+  };
+
+  Env* const base_;
+  mutable std::mutex mu_;
+  std::set<std::thread::id> readers_;
+};
+
+// With many pages pending and each read slow, offline redo overlaps its page
+// reads on more than one thread instead of fetching one page at a time.
+TEST_F(RecoveryTest, OfflineRedoReadsPagesOnSeveralThreads) {
+  Options opts = DefaultOptions();
+  opts.buffer_pool_pages = 4096;  // nothing evicts: every page is pending
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(opts, &env_, "db", &db).ok());
+    PiTree* tree;
+    ASSERT_TRUE(db->CreateIndex("t", &tree).ok());
+    const std::string value(150, 'v');
+    for (int i = 0; i < 6000; ++i) {
+      Transaction* txn = db->Begin();
+      ASSERT_TRUE(tree->Insert(txn, Key(i), value).ok());
+      ASSERT_TRUE(db->Commit(txn).ok());
+    }
+    env_.Crash();
+    harness::AbandonDatabase(db);
+  }
+  env_.set_read_delay_us(200);
+  ReadThreadsEnv env(&env_);
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(opts, &env, "db", &db).ok());
+  EXPECT_GE(db->recovery_map()->pages_replayed(), 64u);
+  EXPECT_GT(env.readers().size(), 1u);
+  env_.set_read_delay_us(0);
 }
 
 }  // namespace
