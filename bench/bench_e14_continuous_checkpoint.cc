@@ -28,7 +28,7 @@ namespace pitree {
 namespace bench {
 namespace {
 
-// Modeled random-read service time (~flash), phase 2 only (same as E13).
+// Modeled random-read service time (~flash), phase 2 only.
 constexpr uint64_t kReadDelayUs = 25;
 
 // Checkpoint cadence: byte-driven so the trigger scales with work, not

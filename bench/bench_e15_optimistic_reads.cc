@@ -217,7 +217,7 @@ int main(int argc, char** argv) {
     printf("\n");
   }
 
-  // Headline ratios EXPERIMENTS.md E16 quotes: hit-workload speedup at one
+  // Headline ratios EXPERIMENTS.md E15 quotes: hit-workload speedup at one
   // thread (per-op cost: no contention, the delta is pure synchronization
   // overhead) and at the sweep's widest point.
   auto find = [&](const char* wl, const char* mode, int threads) -> double {

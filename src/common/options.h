@@ -34,9 +34,9 @@ struct Options {
   /// a version-validated copy-out descent under an epoch guard — no shard
   /// mutexes, no latch-word writes, no pins — falling back to the latched
   /// traversal when validation fails, the page is not optimistically
-  /// resident (cold, or pending lazy redo under instant restore), or the
-  /// bounded retry budget is exhausted. Purely a performance knob: both
-  /// paths return the same answers under the same 2PL locking.
+  /// resident (not in the pool, or mid-read), or the bounded retry budget
+  /// is exhausted. Purely a performance knob: both paths return the same
+  /// answers under the same 2PL locking.
   bool optimistic_reads = true;
 
   /// CP vs. CNS (§5.2). When false, node consolidation never runs; the tree
@@ -58,25 +58,6 @@ struct Options {
   /// postings for them are deferred until commit. When false, undo is
   /// logical and every structure change is an independent atomic action.
   bool page_oriented_undo = false;
-
-  /// Instant restore (DESIGN.md §13). When true, Database::Open returns
-  /// after recovery's analysis and undo passes: redo is deferred to a
-  /// per-page RecoveryMap that the buffer pool consults on first fetch, so
-  /// traffic is served while history is still being repeated. When false
-  /// (the default), Open drains the whole redo phase first — the pre-§13
-  /// offline behavior, byte-equivalent page images either way.
-  bool instant_restore = false;
-
-  /// Whether instant restore starts a background sweeper thread that
-  /// fetches still-pending pages until the RecoveryMap drains. Disabled by
-  /// tests that want deterministic, demand-only lazy redo. Ignored when
-  /// instant_restore is false.
-  bool recovery_sweeper = true;
-
-  /// Microseconds the recovery sweeper pauses between pages. Tests widen
-  /// this to keep the map populated while foreground traffic races lazy
-  /// redo; 0 drains as fast as the disk allows.
-  size_t recovery_sweep_delay_us = 0;
 
   /// Continuous checkpointing (DESIGN.md §14). The background checkpointer
   /// thread takes a fuzzy checkpoint whenever new log exists and either

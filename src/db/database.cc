@@ -3,6 +3,7 @@
 #include "common/thread_annotations.h"
 #include "db/database.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/coding.h"
@@ -40,15 +41,9 @@ Status Database::Init(const Options& options, Env* env,
       wal_.Open(env, name + ".wal", options.wal_segment_bytes));
   ctx_.wal = &wal_;
 
-  // The redo index exists in both recovery modes (empty after offline
-  // recovery); analysis installs into it, the pool replays from it.
-  recovery_map_ = std::make_unique<RecoveryMap>(&wal_);
-  ctx_.recovery_map = recovery_map_.get();
-
   pool_ = std::make_unique<BufferPool>(
       &disk_, options.buffer_pool_pages,
       [this](Lsn lsn) { return wal_.Flush(lsn); }, options.buffer_pool_shards);
-  pool_->set_recovery_map(recovery_map_.get());
   ctx_.pool = pool_.get();
 
   ctx_.locks = &locks_;
@@ -78,24 +73,10 @@ Status Database::Init(const Options& options, Env* env,
       });
 
   checkpoints_ = std::make_unique<CheckpointManager>(
-      env, &wal_, pool_.get(), txns_.get(), name + ".master", oracle_.get(),
-      recovery_map_.get());
+      env, &wal_, pool_.get(), txns_.get(), name + ".master", oracle_.get());
 
   // Crash recovery (a no-op for a fresh database with an empty log).
-  if (options.instant_restore) {
-    // Instant restore (DESIGN.md §13): analysis builds the per-page redo
-    // index, undo rolls back losers (fetching a loser's pages replays them
-    // on demand through the same map), and Open returns with redo pending.
-    // First fetch of each remaining page repeats its history lazily.
-    PITREE_RETURN_IF_ERROR(recovery_->RunAnalysis(stats));
-    PITREE_RETURN_IF_ERROR(recovery_->RunUndo(stats));
-    if (stats != nullptr) {
-      stats->records_redone = recovery_map_->records_replayed();
-      stats->pages_pending = recovery_map_->pending_pages();
-    }
-  } else {
-    PITREE_RETURN_IF_ERROR(recovery_->Run(stats));
-  }
+  PITREE_RETURN_IF_ERROR(recovery_->Run(stats));
 
   // Bootstrap if the metadata pages are not yet formatted. This runs inside
   // one atomic action, so a crash mid-bootstrap leaves nothing behind.
@@ -149,10 +130,6 @@ Status Database::Init(const Options& options, Env* env,
   }
 
   catalog_ = std::make_unique<PiTree>(&ctx_, kCatalogPage);
-  if (options.instant_restore && options.recovery_sweeper &&
-      recovery_map_->pending_pages() > 0) {
-    recovery_sweeper_ = std::thread([this] { RecoverySweepLoop(); });
-  }
   if (options.checkpoint_interval_ms > 0 || options.checkpoint_log_bytes > 0) {
     checkpointer_ = std::thread([this] { CheckpointLoop(); });
   }
@@ -168,10 +145,13 @@ void Database::StopCheckpointer() {
   if (checkpointer_.joinable()) checkpointer_.join();
 }
 
+Status Database::checkpointer_status() const {
+  MutexLock lk(&checkpointer_mu_);
+  return checkpointer_status_;
+}
+
 Database::~Database() {
   StopCheckpointer();
-  sweeper_stop_.store(true, std::memory_order_relaxed);
-  if (recovery_sweeper_.joinable()) recovery_sweeper_.join();
   // Best-effort clean shutdown; recovery handles anything missed.
   (void)wal_.FlushAll();
 }
@@ -311,56 +291,6 @@ Status Database::GetTsbIndex(const std::string& name, TsbTree** tree) {
   return Status::OK();
 }
 
-Status Database::WaitUntilRecovered() {
-  // Drive the drain directly instead of waiting on the sweeper: fetching a
-  // pending page replays it (and retires the map entry) whether or not a
-  // sweeper thread exists. The drain's fetchers back off on a shard that
-  // foreground pins keep full, and surface Busy if it stays full.
-  return recovery_->DrainRedo(nullptr);
-}
-
-void Database::RecoverySweepLoop() {
-  // Lazy-redo background drain: walk pending page ids in order, fetching
-  // each so the pool's replay hook repeats its history. Demand fetches and
-  // this loop race benignly — whichever claims the frame first replays;
-  // the other finds the entry gone or the page resident.
-  const auto delay =
-      std::chrono::microseconds(ctx_.options.recovery_sweep_delay_us);
-  PageId floor = 0;
-  int error_streak = 0;
-  while (!sweeper_stop_.load(std::memory_order_relaxed)) {
-    PageId pid;
-    if (!recovery_map_->FirstPendingAtLeast(floor, &pid)) {
-      if (floor == 0) break;  // map drained
-      floor = 0;  // entries may remain below the cursor; wrap and recheck
-      continue;
-    }
-    PageHandle h;
-    Status s = pool_->FetchPage(pid, &h);
-    h.Reset();
-    if (s.IsBusy()) {
-      // Shard full of pins right now; let foreground traffic drain it.
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      continue;
-    }
-    if (!s.ok()) {
-      // I/O or replay fault: leave the entry for a demand fetch (which
-      // will surface the error to a caller who can act on it) and move on —
-      // with backoff, so a page that fails persistently doesn't turn the
-      // wrap-around retry into a tight CPU loop. If every remaining page
-      // keeps failing, park the sweeper entirely; demand fetches own the
-      // residue from then on.
-      if (++error_streak > 1000) return;
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-      floor = pid + 1;
-      continue;
-    }
-    error_streak = 0;
-    floor = pid + 1;
-    if (delay.count() > 0) std::this_thread::sleep_for(delay);
-  }
-}
-
 Status Database::Checkpoint() {
   Lsn begin = 0;
   Lsn floor = 0;
@@ -371,6 +301,11 @@ Status Database::Checkpoint() {
   // sits at or above the floor, so segments wholly below it are dead.
   return wal_.TruncateBelow(floor);
 }
+
+namespace {
+/// Longest wait between a failed background checkpoint and the next try.
+constexpr auto kMaxCheckpointBackoff = std::chrono::milliseconds(100);
+}  // namespace
 
 void Database::CheckpointLoop() {
   const uint64_t interval_ms = ctx_.options.checkpoint_interval_ms;
@@ -385,14 +320,14 @@ void Database::CheckpointLoop() {
   // Start from the recovered end of the log: the work before it is already
   // covered by recovery itself, so the first checkpoint waits for new log.
   Lsn last_begin = wal_.next_lsn();
-  int error_streak = 0;
+  auto wait = poll;
   for (;;) {
     {
       // Timed poll; StopCheckpointer() notifies to end the nap early. A
       // spurious wakeup just reaches the due-checks below, which skip back
       // here when nothing is due.
       MutexLock lk(&checkpointer_mu_);
-      (void)checkpointer_cv_.WaitFor(checkpointer_mu_, poll);
+      (void)checkpointer_cv_.WaitFor(checkpointer_mu_, wait);
       if (checkpointer_stop_) return;
     }
     const Lsn appended = wal_.next_lsn();
@@ -415,13 +350,20 @@ void Database::CheckpointLoop() {
     if (s.ok()) s = checkpoints_->TakeCheckpoint(&begin, &floor);
     if (s.ok()) s = wal_.TruncateBelow(floor);
     if (!s.ok()) {
-      // Transient fault (possibly injected): the next cycle re-derives
-      // everything from live state, so just back off. A persistently
-      // failing environment parks the thread instead of spinning.
-      if (++error_streak > 1000) return;
+      // The next attempt re-derives everything from live state. Back off,
+      // doubling the wait per failure in a row up to kMaxCheckpointBackoff,
+      // so a dead device costs one try per backoff, not a spin; never stop,
+      // so checkpoints resume when the device does.
+      wait = std::max(poll, std::min(2 * wait, kMaxCheckpointBackoff));
+      MutexLock lk(&checkpointer_mu_);
+      checkpointer_status_ = s;
       continue;
     }
-    error_streak = 0;
+    wait = poll;
+    {
+      MutexLock lk(&checkpointer_mu_);
+      checkpointer_status_ = Status::OK();
+    }
     checkpoints_taken_.fetch_add(1, std::memory_order_relaxed);
     last_begin = begin;
     last_time = std::chrono::steady_clock::now();

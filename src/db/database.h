@@ -18,7 +18,6 @@
 #include "pitree/pi_tree.h"
 #include "recovery/checkpoint.h"
 #include "recovery/recovery_manager.h"
-#include "recovery/recovery_map.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "tsb/tsb_tree.h"
@@ -37,15 +36,6 @@ namespace pitree {
 /// interrupted structure change either completed (its atomic actions that
 /// committed) or cleanly absent (the loser action undone); no index-specific
 /// recovery code exists (paper claim 4).
-///
-/// With Options::instant_restore, Open() returns after analysis + undo only:
-/// redo is deferred into a per-page index (recovery/recovery_map.h) that the
-/// buffer pool consults on first fetch, so traffic is served while history
-/// repeats lazily. A background sweeper (Options::recovery_sweeper) touches
-/// the remaining pages so the map drains even without traffic;
-/// WaitUntilRecovered() blocks until it is empty. Either mode produces
-/// byte-identical pages — redo is per-page and the LSN state identifier
-/// makes each page's replay order-insensitive across pages.
 class Database {
  public:
   /// Opens (creating if necessary) the database `name` within `env`.
@@ -84,24 +74,6 @@ class Database {
   Status CreateTsbIndex(const std::string& name, TsbTree** tree);
   Status GetTsbIndex(const std::string& name, TsbTree** tree);
 
-  // -- recovery -------------------------------------------------------------
-  /// Blocks until every page pending lazy redo has been replayed (a no-op
-  /// after offline recovery, or once the map has drained). Runs the same
-  /// parallel drain as offline redo (RecoveryManager::DrainRedo) — it does
-  /// not merely wait on the sweeper — so it converges even with
-  /// Options::recovery_sweeper off. Call with no transactions' latches held
-  /// (it fetches pages).
-  Status WaitUntilRecovered();
-
-  /// Pages still awaiting lazy redo; zero once recovery has fully repeated
-  /// history. Lock-free.
-  size_t recovery_pending_pages() const {
-    return recovery_map_->pending_pages();
-  }
-
-  /// The instant-restore redo index (tests probe its counters).
-  RecoveryMap* recovery_map() { return recovery_map_.get(); }
-
   // -- maintenance ----------------------------------------------------------
   /// Takes a fuzzy checkpoint (ATT + DPT + master record), then truncates
   /// WAL segments wholly below the floor the checkpoint justifies.
@@ -112,6 +84,11 @@ class Database {
   uint64_t checkpoints_taken() const {
     return checkpoints_taken_.load(std::memory_order_relaxed);
   }
+  /// The background checkpointer's last failure, until one of its
+  /// checkpoints succeeds again; then OK. A failing checkpointer keeps
+  /// retrying (CheckpointLoop), so this is how its caller learns the log
+  /// has stopped shrinking.
+  Status checkpointer_status() const;
   /// Stops the background checkpointer thread, if one is running; idempotent
   /// and harmless when none was started. Crash tests call this before
   /// abandoning a database (SimEnv::Crash + release) so no detached thread
@@ -135,19 +112,16 @@ class Database {
   PiTree* TreeAt(PageId root);
   TsbTree* TsbAt(PageId root);
   Status LookupCatalog(const std::string& name, PageId* root, uint8_t* type);
-  /// Background lazy-redo drain: fetches pending pages in id order so the
-  /// recovery map empties even on a read-light workload.
-  void RecoverySweepLoop();
   /// Continuous checkpointing (DESIGN.md §14): fires a fuzzy checkpoint
   /// whenever Options::checkpoint_interval_ms has elapsed or
   /// Options::checkpoint_log_bytes of new log accumulated since the last
-  /// one, then truncates WAL segments below the checkpoint's floor.
+  /// one, then truncates WAL segments below the checkpoint's floor. After
+  /// a failure it waits longer before the next attempt, but never stops.
   void CheckpointLoop();
 
   EngineContext ctx_;
   DiskManager disk_;
   WalManager wal_;
-  std::unique_ptr<RecoveryMap> recovery_map_;
   std::unique_ptr<BufferPool> pool_;
   LockManager locks_;
   std::unique_ptr<TimestampOracle> oracle_;
@@ -162,13 +136,11 @@ class Database {
   std::unordered_map<PageId, std::unique_ptr<TsbTree>> tsb_trees_
       GUARDED_BY(trees_mu_);
 
-  std::thread recovery_sweeper_;
-  std::atomic<bool> sweeper_stop_{false};
-
   std::thread checkpointer_;
-  Mutex checkpointer_mu_;
+  mutable Mutex checkpointer_mu_;
   CondVar checkpointer_cv_;
   bool checkpointer_stop_ GUARDED_BY(checkpointer_mu_) = false;
+  Status checkpointer_status_ GUARDED_BY(checkpointer_mu_);
   std::atomic<uint64_t> checkpoints_taken_{0};
 };
 

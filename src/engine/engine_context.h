@@ -13,7 +13,6 @@ class BufferPool;
 class LockManager;
 class TxnManager;
 class RecoveryManager;
-class RecoveryMap;
 class CompletionSink;
 class TimestampOracle;
 
@@ -35,10 +34,6 @@ struct EngineContext {
   /// version times are drawn from it so snapshots, version timestamps, and
   /// commit timestamps share one timeline; null for standalone components.
   TimestampOracle* oracle = nullptr;
-  /// Per-page redo index for instant restore (recovery/recovery_map.h).
-  /// Non-null for the life of the Database; empty once recovery has fully
-  /// repeated history. The buffer pool replays from it at fetch time.
-  RecoveryMap* recovery_map = nullptr;
   Options options;
 };
 

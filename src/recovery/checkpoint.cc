@@ -6,7 +6,6 @@
 #include "common/coding.h"
 #include "common/crc32.h"
 #include "mvcc/timestamp_oracle.h"
-#include "recovery/recovery_map.h"
 #include "wal/log_record.h"
 
 namespace pitree {
@@ -121,33 +120,7 @@ Status CheckpointManager::TakeCheckpoint(Lsn* out_begin, Lsn* out_floor) {
 
   CheckpointData data;
   data.att = txns_->SnapshotAtt();
-  // Pages still awaiting lazy redo are dirty-in-spirit: their durable
-  // images predate their recLSNs, and nothing will flush them until a
-  // fetch replays them. Fold them in so a crash after this checkpoint
-  // re-derives their redo work. Sampling order matters: the map MUST be
-  // read before the pool DPT. The fetch path marks the frame dirty before
-  // retiring the map entry, so map-first sampling sees either the still-
-  // pending entry or (entry already retired) the dirty frame in the later
-  // pool snapshot — double-report at worst, never a gap. Pool-first would
-  // open a window where the fetch dirties and retires between the two
-  // reads and the page vanishes from both.
-  std::vector<std::pair<PageId, Lsn>> map_dpt;
-  if (recovery_map_ != nullptr) map_dpt = recovery_map_->PendingDpt();
   data.dpt = pool_->DirtyPageTable();
-  {
-    // Both snapshots may carry a page; keep the smaller recLSN so redo
-    // starts early enough for both histories.
-    for (const auto& [page, rec_lsn] : map_dpt) {
-      auto it = std::find_if(
-          data.dpt.begin(), data.dpt.end(),
-          [page = page](const auto& e) { return e.first == page; });
-      if (it == data.dpt.end()) {
-        data.dpt.emplace_back(page, rec_lsn);
-      } else if (rec_lsn < it->second) {
-        it->second = rec_lsn;
-      }
-    }
-  }
   // Sync phase: the DPT above vouches for every page whose image may lag
   // the log; pages ABSENT from it completed their writes before the
   // snapshot, and those writes may still sit in the OS cache. Make them
@@ -183,10 +156,9 @@ Status CheckpointManager::TakeCheckpoint(Lsn* out_begin, Lsn* out_floor) {
 
   // The truncation floor this checkpoint justifies. Every future recovery
   // need is bounded below by it: analysis starts at begin_lsn, redo at the
-  // smallest DPT recLSN (lazy-redo pages already folded in above), and undo
-  // walks each ATT chain no further down than its kBegin. An ATT entry with
-  // first_lsn 0 ("unknown") pins the floor at 0 — no truncation — rather
-  // than risking a reachable record.
+  // smallest DPT recLSN, and undo walks each ATT chain no further down than
+  // its kBegin. An ATT entry with first_lsn 0 ("unknown") pins the floor at
+  // 0 — no truncation — rather than risking a reachable record.
   Lsn floor = begin_lsn;
   for (const auto& [page, rec_lsn] : data.dpt) {
     (void)page;

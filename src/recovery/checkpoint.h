@@ -17,7 +17,6 @@
 namespace pitree {
 
 class TimestampOracle;
-class RecoveryMap;
 
 /// Payload of a kCheckpointEnd record: the active-transaction table and
 /// dirty-page table at checkpoint time, plus the MVCC oracle's high-water.
@@ -50,20 +49,14 @@ Status DecodeMasterRecord(const std::string& in, Lsn* checkpoint_begin);
 /// at the most recent kCheckpointBegin so analysis knows where to start.
 class CheckpointManager {
  public:
-  /// `recovery_map`, when set, folds pages still awaiting lazy redo into
-  /// the checkpoint DPT: their durable images predate their recLSNs, so a
-  /// checkpoint taken during instant restore must keep their redo
-  /// obligations alive for any second crash.
   CheckpointManager(Env* env, WalManager* wal, BufferPool* pool,
                     TxnManager* txns, std::string master_path,
-                    TimestampOracle* oracle = nullptr,
-                    RecoveryMap* recovery_map = nullptr)
+                    TimestampOracle* oracle = nullptr)
       : env_(env),
         wal_(wal),
         pool_(pool),
         txns_(txns),
         oracle_(oracle),
-        recovery_map_(recovery_map),
         master_path_(std::move(master_path)) {}
 
   /// Appends begin/end checkpoint records, forces them, updates the master.
@@ -73,11 +66,11 @@ class CheckpointManager {
   ///
   /// On success, `out_begin` (if non-null) is this checkpoint's begin LSN,
   /// and `out_floor` is the WAL truncation floor it justifies: the minimum
-  /// of the begin LSN, every DPT recLSN (pending RecoveryMap pages already
-  /// folded in) and every ATT entry's first (kBegin) LSN. Every record a
-  /// future recovery can need — redo from the earliest recLSN, undo down
-  /// each loser's chain to its kBegin, analysis from this begin — sits at
-  /// or above it, so segments wholly below may be deleted.
+  /// of the begin LSN, every DPT recLSN and every ATT entry's first
+  /// (kBegin) LSN. Every record a future recovery can need — redo from the
+  /// earliest recLSN, undo down each loser's chain to its kBegin, analysis
+  /// from this begin — sits at or above it, so segments wholly below may be
+  /// deleted.
   Status TakeCheckpoint(Lsn* out_begin = nullptr, Lsn* out_floor = nullptr);
 
   /// Reads the master record. NotFound if no checkpoint was ever taken or
@@ -90,7 +83,6 @@ class CheckpointManager {
   BufferPool* const pool_;
   TxnManager* const txns_;
   TimestampOracle* const oracle_;
-  RecoveryMap* const recovery_map_;
   const std::string master_path_;
 
   /// Serializes TakeCheckpoint and orders master-file writes.

@@ -1,4 +1,4 @@
-// lint:allow-naked-latch -- single-threaded redo/undo X-latches one page
+// lint:allow-naked-latch -- each redo fetcher, and undo, X-latches one page
 // at a time to reuse the LogAndApply idiom; audited with the checker.
 #include "common/thread_annotations.h"
 #include "recovery/recovery_manager.h"
@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <chrono>
 #include <map>
 #include <queue>
 #include <thread>
@@ -19,7 +18,7 @@
 #include "engine/page_apply.h"
 #include "env/env.h"
 #include "mvcc/timestamp_oracle.h"
-#include "recovery/recovery_map.h"
+#include "storage/page.h"
 #include "txn/txn_manager.h"
 #include "wal/log_reader.h"
 #include "wal/wal_manager.h"
@@ -28,17 +27,11 @@ namespace pitree {
 
 namespace {
 
-/// Threads that fetch pending pages in DrainRedo. A page's replay needs
-/// only its own frame claim, so redo overlaps the device's reads: a
-/// bench_workload write_mixed restart's redo took 32 / 18 / 9.4 / 5.5 /
-/// 4.7 ms at 1 / 2 / 4 / 8 / 16 fetchers (4-thread x86-64 box, 25-µs
-/// modeled reads).
+/// Threads that fetch pages in DrainRedo. A page's replay needs only its
+/// own page, so redo overlaps the device's reads: a bench_workload
+/// write_mixed restart's redo took 32 / 18 / 9.4 / 5.5 / 4.7 ms at
+/// 1 / 2 / 4 / 8 / 16 fetchers (4-thread x86-64 box, 25-µs modeled reads).
 constexpr size_t kRedoFetchers = 8;
-
-/// A fetch that finds its shard full of pins sleeps kBusyBackoff and
-/// retries, at most kMaxBusyRetries times in a row.
-constexpr auto kBusyBackoff = std::chrono::microseconds(100);
-constexpr int kMaxBusyRetries = 1000;
 
 /// A forward log scan ends cleanly on NotFound (torn or absent tail) or on
 /// the append-buffer bound (InvalidArgument "lsn beyond log end"); any other
@@ -54,14 +47,14 @@ Status CheckScanEnd(const Status& s) {
 Status RecoveryManager::Run(RecoveryStats* stats) {
   RecoveryStats local;
   if (stats == nullptr) stats = &local;
-  PITREE_RETURN_IF_ERROR(RunAnalysis(stats));
-  PITREE_RETURN_IF_ERROR(DrainRedo(stats));
+  std::vector<PageRedo> redo;
+  PITREE_RETURN_IF_ERROR(RunAnalysis(stats, &redo));
+  PITREE_RETURN_IF_ERROR(DrainRedo(redo, stats));
   return RunUndo(stats);
 }
 
-Status RecoveryManager::RunAnalysis(RecoveryStats* stats) {
-  RecoveryStats local;
-  if (stats == nullptr) stats = &local;
+Status RecoveryManager::RunAnalysis(RecoveryStats* stats,
+                                    std::vector<PageRedo>* redo) {
   losers_.clear();
   analysis_max_txn_ = 0;
   analysis_max_commit_ts_ = 0;
@@ -100,13 +93,12 @@ Status RecoveryManager::RunAnalysis(RecoveryStats* stats) {
   // its LSN by construction), and records before the checkpoint are
   // gathered by a second partial scan below once the DPT is complete.
   // Each record keeps its end so replay can fetch neighbours in one read.
-  std::unordered_map<PageId, std::vector<RecoveryMap::RecordExtent>>
-      post_ckpt;
+  std::unordered_map<PageId, std::vector<RecordExtent>> post_ckpt;
 
   {
     LogRecord rec;
     // Slab-buffered scan: analysis streams the log at sequential bandwidth;
-    // only lazy per-page replay pays random-access record reads.
+    // only per-page redo pays random-access reads, one per run.
     LogReader scanner = ctx_->wal->MakeDurableScanner(scan_start);
     Status scan;
     while ((scan = scanner.ReadNext(&rec)).ok()) {
@@ -189,12 +181,11 @@ Status RecoveryManager::RunAnalysis(RecoveryStats* stats) {
     PITREE_RETURN_IF_ERROR(CheckScanEnd(scan));
   }
 
-  // ---- Redo index ---------------------------------------------------------
-  // Instead of repeating history here, build the per-page redo ranges the
-  // RecoveryMap serves at fetch time. Offline mode drains them immediately
-  // (DrainRedo), which applies exactly the records the old log-order redo
-  // did — each record touches one page and the §5.2 LSN test is per page,
-  // so per-page replay order is byte-equivalent to log order.
+  // ---- Redo work ----------------------------------------------------------
+  // Per-page redo ranges instead of one log-order pass: each record touches
+  // one page and the §5.2 LSN test is per page, so replaying every page's
+  // records in LSN order applies exactly the records log-order redo would,
+  // onto byte-identical pages, in any order across pages.
   if (!dpt.empty()) {
     Lsn redo_start = kInvalidLsn;
     bool first = true;
@@ -206,8 +197,7 @@ Status RecoveryManager::RunAnalysis(RecoveryStats* stats) {
     // started from; a second partial scan gathers the ones the checkpoint
     // DPT still holds redo obligations for. (redo_start is always a frame
     // boundary: recLSNs come from WalManager::next_lsn.)
-    std::unordered_map<PageId, std::vector<RecoveryMap::RecordExtent>>
-        pre_ckpt;
+    std::unordered_map<PageId, std::vector<RecordExtent>> pre_ckpt;
     if (redo_start < scan_start) {
       LogRecord rec;
       LogReader scanner = ctx_->wal->MakeDurableScanner(redo_start);
@@ -224,24 +214,25 @@ Status RecoveryManager::RunAnalysis(RecoveryStats* stats) {
       }
       PITREE_RETURN_IF_ERROR(CheckScanEnd(scan));
     }
-    std::map<PageId, RecoveryMap::PendingPage> pending;
-    for (const auto& [page, rec_lsn] : dpt) {
-      RecoveryMap::PendingPage entry;
-      entry.rec_lsn = rec_lsn;
-      auto pre = pre_ckpt.find(page);
-      if (pre != pre_ckpt.end()) entry.records = std::move(pre->second);
-      auto post = post_ckpt.find(page);
+    for (const auto& entry : dpt) {
+      PageRedo work;
+      work.page = entry.first;
+      auto pre = pre_ckpt.find(work.page);
+      if (pre != pre_ckpt.end()) work.records = std::move(pre->second);
+      auto post = post_ckpt.find(work.page);
       if (post != post_ckpt.end()) {
-        entry.records.insert(entry.records.end(), post->second.begin(),
-                             post->second.end());
+        work.records.insert(work.records.end(), post->second.begin(),
+                            post->second.end());
       }
-      if (!entry.records.empty()) {
-        pending.emplace(page, std::move(entry));
-      }
+      // A torn tail can cut a DPT page's records.
+      if (!work.records.empty()) redo->push_back(std::move(work));
     }
-    ctx_->recovery_map->Install(std::move(pending));
+    // Fetch in page order, as the data file lays the pages out.
+    std::sort(redo->begin(), redo->end(),
+              [](const PageRedo& a, const PageRedo& b) {
+                return a.page < b.page;
+              });
   }
-  stats->records_indexed = ctx_->recovery_map->records_indexed();
 
   losers_.clear();
   losers_.insert(att.begin(), att.end());
@@ -250,47 +241,36 @@ Status RecoveryManager::RunAnalysis(RecoveryStats* stats) {
   return Status::OK();
 }
 
-Status RecoveryManager::DrainRedo(RecoveryStats* stats) {
-  RecoveryStats local;
-  if (stats == nullptr) stats = &local;
-  RecoveryMap* map = ctx_->recovery_map;
+Status RecoveryManager::DrainRedo(const std::vector<PageRedo>& redo,
+                                  RecoveryStats* stats) {
   BufferPool* pool = ctx_->pool;
-  const std::vector<PageId> pages = map->PendingPageIds();
   // Each fetcher pins one frame at a time, so fewer fetchers than the
-  // smallest shard has frames can never pin a whole shard between them: a
-  // restart's own fetchers cause it no Busy.
+  // smallest shard has frames can never pin a whole shard between them.
+  // Nothing else pins a frame during Open, so a fetch never sees Busy; if
+  // one did, it would be a bug, and it fails recovery like any error.
   const size_t frames_per_shard = pool->capacity() / pool->shard_count();
   const size_t fetchers =
-      std::max<size_t>(1, std::min({kRedoFetchers, pages.size(),
+      std::max<size_t>(1, std::min({kRedoFetchers, redo.size(),
                                     frames_per_shard - 1}));
 
   std::atomic<size_t> next{0};
   std::atomic<bool> failed{false};
+  std::atomic<uint64_t> records_redone{0};
   Mutex error_mu;
   Status first_error;
   auto fetch_loop = [&] {
-    int busy_streak = 0;
     while (!failed.load(std::memory_order_relaxed)) {
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= pages.size()) return;
-      // Demand fetches and the sweeper may have replayed it meanwhile.
-      if (!map->HasPending(pages[i])) continue;
-      Status s;
-      for (;;) {
-        PageHandle page;
-        s = pool->FetchPage(pages[i], &page);
-        // Busy: the page's shard is full of other threads' pins right now.
-        // Back off and retry; a shard that stays full surfaces as Busy.
-        if (!s.IsBusy() || ++busy_streak > kMaxBusyRetries) break;
-        std::this_thread::sleep_for(kBusyBackoff);
-      }
+      if (i >= redo.size()) return;
+      uint64_t applied = 0;
+      Status s = RedoPage(redo[i], &applied);
+      records_redone.fetch_add(applied, std::memory_order_relaxed);
       if (!s.ok()) {
         MutexLock lk(&error_mu);
         if (first_error.ok()) first_error = s;
         failed.store(true, std::memory_order_relaxed);
         return;
       }
-      busy_streak = 0;
     }
   };
   {
@@ -301,14 +281,72 @@ Status RecoveryManager::DrainRedo(RecoveryStats* stats) {
     fetch_loop();
   }
   PITREE_RETURN_IF_ERROR(first_error);
-  stats->records_redone = map->records_replayed();
+  stats->records_redone = records_redone.load(std::memory_order_relaxed);
+  stats->pages_redone = redo.size();
+  return Status::OK();
+}
+
+Status RecoveryManager::RedoPage(const PageRedo& work, uint64_t* applied) {
+  const std::vector<RecordExtent>& records = work.records;
+  PageHandle page;
+  PITREE_RETURN_IF_ERROR(ctx_->pool->FetchPage(work.page, &page));
+  Latch& latch = page.latch();
+  // The records live in the immutable durable prefix. The reader's limit
+  // makes each run one read that stops at the run's last record; the
+  // frames inside it then parse from the slab.
+  LogReader reader = ctx_->wal->MakeDurableScanner(records.front().lsn);
+  std::vector<LogRecord> run;
+  for (size_t first = 0; first < records.size();) {
+    // The run: the longest stretch whose extent fits one slab. A record
+    // bigger than the slab is a run of its own.
+    size_t end = first + 1;
+    while (end < records.size() &&
+           records[end].end - records[first].lsn <=
+               WalManager::kScanReadAhead) {
+      ++end;
+    }
+    reader.set_limit(records[end - 1].end);
+    run.resize(end - first);
+    for (size_t i = first; i < end; ++i) {
+      LogRecord& rec = run[i - first];
+      reader.Seek(records[i].lsn);
+      PITREE_RETURN_IF_ERROR(reader.ReadNext(&rec));
+      if (rec.next_lsn != records[i].end || rec.page_id != work.page ||
+          (rec.type != LogRecordType::kUpdate &&
+           rec.type != LogRecordType::kClr)) {
+        return Status::Corruption("redo record extent does not match log");
+      }
+    }
+    latch.AcquireX();
+    char* data = page.data();
+    Lsn first_applied = kInvalidLsn;
+    Status s;
+    for (const LogRecord& rec : run) {
+      // State-identifier test (§5.2): the page LSN says which prefix of its
+      // history the image already reflects. This is what makes redo both
+      // idempotent and safe on images flushed after the recLSN was
+      // recorded.
+      if (PageGetLsn(data) >= rec.lsn) continue;
+      // First touch of a formerly-blank page: stamp identity so appliers
+      // relying on the header see a coherent page.
+      if (PageGetId(data) != work.page) PageSetId(data, work.page);
+      s = ApplyAnyRedo(rec.op, rec.redo, data);
+      if (!s.ok()) break;
+      PageSetLsn(data, rec.lsn);
+      if (first_applied == kInvalidLsn) first_applied = rec.lsn;
+      ++*applied;
+    }
+    // The image is now newer than its disk bytes: its recLSN is the first
+    // record this run applied (a no-op if an earlier run dirtied it).
+    if (first_applied != kInvalidLsn) page.ReserveDirty(first_applied);
+    latch.ReleaseX();
+    PITREE_RETURN_IF_ERROR(s);
+    first = end;
+  }
   return Status::OK();
 }
 
 Status RecoveryManager::RunUndo(RecoveryStats* stats) {
-  RecoveryStats local;
-  if (stats == nullptr) stats = &local;
-
   // ---- Undo (losers, in global reverse-LSN order) -------------------------
   ctx_->txns->AdvanceTxnIdFloor(analysis_max_txn_);
   struct Loser {
@@ -387,9 +425,7 @@ Status RecoveryManager::RunUndo(RecoveryStats* stats) {
 
   // Make the recovered state durable enough that a second crash replays a
   // shorter log; not strictly required for correctness.
-  PITREE_RETURN_IF_ERROR(ctx_->wal->FlushAll());
-  stats->pages_pending = ctx_->recovery_map->pending_pages();
-  return Status::OK();
+  return ctx_->wal->FlushAll();
 }
 
 Status RecoveryManager::RollbackTxn(Transaction* txn) {

@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "common/types.h"
@@ -15,8 +16,6 @@
 #include "wal/log_record.h"
 
 namespace pitree {
-
-class RecoveryMap;
 
 /// Counters reported by a recovery pass (experiment E3 reads these).
 struct RecoveryStats {
@@ -29,11 +28,8 @@ struct RecoveryStats {
   /// plus the checkpoint's oracle high-water); the oracle restarts strictly
   /// above it. 0 when the log predates MVCC.
   uint64_t max_recovered_commit_ts = 0;
-  /// kUpdate/kClr records the analysis pass indexed into the RecoveryMap
-  /// (the whole redo workload, replayed eagerly or lazily).
-  uint64_t records_indexed = 0;
-  /// Pages still awaiting lazy redo when Open returned (always 0 offline).
-  uint64_t pages_pending = 0;
+  /// Pages the redo pass fetched to replay their records onto.
+  uint64_t pages_redone = 0;
 };
 
 /// ARIES-style recovery: analysis, redo (repeating history), undo with
@@ -61,31 +57,9 @@ class RecoveryManager {
     logical_undo_ = std::move(fn);
   }
 
-  /// Offline crash recovery: RunAnalysis + DrainRedo + RunUndo. Call once,
-  /// after Open, before serving operations.
+  /// Crash recovery: analysis, parallel per-page redo, then undo. Call
+  /// once, after Open, before serving operations.
   Status Run(RecoveryStats* stats = nullptr);
-
-  /// Analysis pass: one scan from the checkpoint rebuilding the ATT and
-  /// DPT, plus (when some dirty page's recLSN predates the checkpoint) a
-  /// second partial scan of [min recLSN, checkpoint) — together indexing
-  /// every page's redo range into ctx->recovery_map. Touches no pages.
-  /// Loser state is retained for a following RunUndo.
-  Status RunAnalysis(RecoveryStats* stats);
-
-  /// Eagerly repeats history: fetches every pending page, which replays
-  /// its range through the buffer pool's RecoveryMap hook. The pages are
-  /// shared out among up to kRedoFetchers threads (recovery_manager.cc);
-  /// each replay runs under its own frame claim, so they need no other
-  /// synchronization. The first error wins, and every fetcher has been
-  /// joined when this returns. Offline mode runs this before undo; instant
-  /// restore skips it and lets demand plus the background sweeper drain
-  /// the map instead, and Database::WaitUntilRecovered runs it to finish.
-  Status DrainRedo(RecoveryStats* stats);
-
-  /// Undo pass over the losers RunAnalysis found (their page fetches
-  /// trigger lazy redo as needed), then restarts the MVCC oracle above the
-  /// recovered commit horizon and forces the log.
-  Status RunUndo(RecoveryStats* stats);
 
   /// Runtime rollback of one transaction/action chain (the TxnManager's
   /// rollback handler). Latches each touched page exclusively.
@@ -101,6 +75,44 @@ class RecoveryManager {
                               Lsn until_lsn = kInvalidLsn);
 
  private:
+  /// Where one redo record sits in the log: its frame is [lsn, end).
+  struct RecordExtent {
+    Lsn lsn = kInvalidLsn;
+    Lsn end = kInvalidLsn;  // the next record's LSN
+  };
+
+  /// One page's kUpdate/kClr records in [recLSN, log end), ascending.
+  struct PageRedo {
+    PageId page = kInvalidPageId;
+    std::vector<RecordExtent> records;  // never empty
+  };
+
+  /// Analysis pass: one scan from the checkpoint rebuilding the ATT and
+  /// DPT, plus (when some dirty page's recLSN predates the checkpoint) a
+  /// second partial scan of [min recLSN, checkpoint), together gathering
+  /// every page's redo records into `redo`. Touches no pages. Loser state
+  /// is retained for RunUndo.
+  Status RunAnalysis(RecoveryStats* stats, std::vector<PageRedo>* redo);
+
+  /// Repeats history: shares the pages out among up to kRedoFetchers
+  /// threads (recovery_manager.cc), each of which replays its pages one at
+  /// a time (RedoPage). A page belongs to one fetcher, so the replays need
+  /// no other synchronization. The first error wins, and every fetcher has
+  /// been joined when this returns.
+  Status DrainRedo(const std::vector<PageRedo>& redo, RecoveryStats* stats);
+
+  /// Replays one page's records onto its image, each behind the §5.2 LSN
+  /// test, and adds the number applied to `*applied`. Reads are coalesced:
+  /// the records are split into runs, each the longest stretch whose extent
+  /// (first LSN to last record's end) fits one WalManager::kScanReadAhead
+  /// slab, and each run costs one read that ends at its last record. A run
+  /// is read with no latch held, then applied under the page's X latch.
+  Status RedoPage(const PageRedo& work, uint64_t* applied);
+
+  /// Undo pass over the losers RunAnalysis found, then restarts the MVCC
+  /// oracle above the recovered commit horizon and forces the log.
+  Status RunUndo(RecoveryStats* stats);
+
   /// Undoes the single record `rec` for `txn`, logging a CLR, and returns
   /// the next LSN of the chain to undo via `*next` (kInvalidLsn when the
   /// chain is exhausted).

@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "analysis/latch_checker.h"
-#include "recovery/recovery_map.h"
 #include "storage/space_map.h"
 
 namespace pitree {
@@ -365,10 +364,6 @@ Status BufferPool::FetchInternal(PageId id, bool zeroed, PageHandle* handle)
     shard.stats.hits.fetch_add(1, std::memory_order_relaxed);
     if (zeroed) {
       // Caller is re-formatting a re-allocated page that is still resident.
-      // Defensive: a resident page cannot be pending lazy redo (every load
-      // goes through the replay hook below), but a re-format supersedes any
-      // entry regardless.
-      if (recovery_map_ != nullptr) recovery_map_->DiscardPending(id);
       // The in-place reformat runs the reclaim protocol like an eviction:
       // retire the optimistic identity, lock the version word, wait out
       // readers mid-copy, then wipe. TryBeginReclaim can fail only when a
@@ -480,14 +475,7 @@ Status BufferPool::FetchInternal(PageId id, bool zeroed, PageHandle* handle)
                              analysis::kLevelUnknown, id);
 
   Status s;
-  bool replay_had_entry = false;
-  bool replay_applied = false;
-  Lsn replay_rec_lsn = kInvalidLsn;
   if (zeroed) {
-    // A page pending lazy redo can only be fetched zeroed when it was
-    // deallocated and is being re-formatted; the caller's format record
-    // supersedes the dead incarnation's pending history.
-    if (recovery_map_ != nullptr) recovery_map_->DiscardPending(id);
     if (reclaim_claimed) EpochManager::Global()->WaitGracePeriod();
     memset(f.data, 0, kPageSize);
   } else {
@@ -499,22 +487,13 @@ Status BufferPool::FetchInternal(PageId id, bool zeroed, PageHandle* handle)
     // FlushFrame; only the version-word reclaim claim spans this read.
     // analyze:allow-latch-io -- frame read under reclaim claim, no latch
     s = DoRead(id, f.data);
-    if (s.ok() && recovery_map_ != nullptr) {
-      // Lazy redo (DESIGN.md §13): repeat this page's history onto the
-      // fresh image while the frame is still claimed. Same discipline as
-      // the read itself — no shard mutex held, page latch untouched; the
-      // io_in_progress claim keeps every other fetcher of this page parked
-      // until the recovered image is published.
-      s = recovery_map_->ReplayOnto(id, f.data, &replay_had_entry,
-                                    &replay_applied, &replay_rec_lsn);
-    }
     lk.Lock();
   }
 
   if (!s.ok()) {
-    // A failed replay leaves the page pending in the map: the next fetch
-    // retries the whole read+replay. The reclaim span must still close
-    // (with its bump) or the version word would stay locked forever.
+    // A failed read leaves the frame free; the next fetch of `id` retries
+    // it. The reclaim span must still close (with its bump) or the version
+    // word would stay locked forever.
     if (reclaim_claimed) f.latch.EndReclaim();
     shard.table.erase(id);
     f.page_id = kInvalidPageId;
@@ -523,22 +502,12 @@ Status BufferPool::FetchInternal(PageId id, bool zeroed, PageHandle* handle)
     return s;
   }
 
-  if (replay_applied) {
-    // The replayed image is newer than its disk bytes: dirty the frame
-    // *before* the map entry retires, so a concurrent checkpoint finds the
-    // page in the pool DPT or the RecoveryMap (possibly both — redo starts
-    // at the older recLSN either way), never in neither.
-    ++f.dirty_epoch;
-    f.dirty = true;
-    f.rec_lsn = replay_rec_lsn;
-  }
-  if (replay_had_entry) recovery_map_->MarkReplayed(id);
   f.pin_count = 1;
   f.ref.store(true, std::memory_order_relaxed);
-  // Publish for optimistic readers only now, when the image is complete
-  // (read in + lazy redo replayed): close the reclaim span (version bump),
-  // then expose the id. A reader that snapshots the word after the bump
-  // sees the finished bytes via its seq_cst Begin load.
+  // Publish for optimistic readers only now, when the image is read in:
+  // close the reclaim span (version bump), then expose the id. A reader
+  // that snapshots the word after the bump sees the finished bytes via its
+  // seq_cst Begin load.
   if (reclaim_claimed) f.latch.EndReclaim();
   f.published.store(id, std::memory_order_release);
   OptIndexInsert(shard, id, idx);

@@ -21,7 +21,6 @@
 namespace pitree {
 
 class BufferPool;
-class RecoveryMap;
 
 /// A pinned buffer frame. The pin is released on destruction. Latching the
 /// page is the caller's job via latch(); the handle does not latch.
@@ -140,15 +139,6 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Installs the instant-restore redo index (recovery/recovery_map.h).
-  /// Set once at Open, before any concurrent fetch; may stay set forever —
-  /// a drained map costs one relaxed load per miss. While a page is
-  /// pending in the map, its first fetch replays the page's redo records
-  /// onto the freshly read image before the frame is published (the claim
-  /// that serializes same-page fetchers also serializes the replay), so no
-  /// caller can ever observe un-recovered bytes.
-  void set_recovery_map(RecoveryMap* map) { recovery_map_ = map; }
-
   /// Pins page `id`, reading it from disk if not resident.
   Status FetchPage(PageId id, PageHandle* handle);
 
@@ -157,10 +147,7 @@ class BufferPool {
   /// calling thread to be inside an active EpochGuard. Returns false (a
   /// counted fallback) when the page is not resident in the index, the
   /// frame is write-locked or mid-reclaim, or the thread has no epoch slot
-  /// — the caller falls back to FetchPage. A page pending lazy redo
-  /// (DESIGN.md §13) is never in the index (frames publish only after
-  /// replay), so recovery-pending pages miss to the latched path by
-  /// construction.
+  /// — the caller falls back to FetchPage.
   bool FetchOptimistic(PageId id, OptimisticPage* out);
 
   /// Copies the frame's kPageSize image into `dst` and validates the
@@ -241,8 +228,8 @@ class BufferPool {
     /// did not move while its latch-consistent snapshot was being written.
     uint64_t dirty_epoch = 0;
     /// The page id optimistic readers may trust this frame to carry. Set
-    /// (release) only when the frame's image is complete — read in, lazy
-    /// redo replayed — and cleared before the bytes may change identity.
+    /// (release) only once the frame's image is read in, and cleared
+    /// before the bytes may change identity.
     /// Closes the stale-index race: an index entry can briefly point at a
     /// reassigned frame, but the frame itself then disavows the id.
     std::atomic<PageId> published{kInvalidPageId};
@@ -336,7 +323,6 @@ class BufferPool {
 
   DiskManager* const disk_;
   const EnsureDurableFn ensure_durable_;
-  RecoveryMap* recovery_map_ = nullptr;
 
   /// Every frame's page bytes in one allocation, frame i at i * kPageSize.
   std::unique_ptr<char[]> arena_;

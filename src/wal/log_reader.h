@@ -25,8 +25,8 @@ namespace pitree {
 /// A buffered reader also serves Seek()s that land inside its slab without
 /// touching the file, and set_limit() caps how far a refill reads. Together
 /// they let a caller fetch one exact extent of the log in a single read and
-/// then parse any frames inside it in any order (lazy redo's coalesced
-/// runs, recovery/recovery_map.h).
+/// then parse any frames inside it in any order (redo's coalesced runs,
+/// RecoveryManager::RedoPage).
 class LogReader {
  public:
   explicit LogReader(const File* file, Lsn start = 0, size_t read_ahead = 0)

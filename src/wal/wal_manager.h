@@ -91,7 +91,7 @@ struct WalStats {
 class WalManager {
  public:
   /// Slab size for buffered log reads (open-time end search, recovery
-  /// analysis, lazy redo's coalesced runs). Big enough that scan cost is
+  /// analysis, redo's coalesced runs). Big enough that scan cost is
   /// sequential bandwidth, small enough to be irrelevant next to the
   /// buffer pool.
   static constexpr size_t kScanReadAhead = 256 << 10;
@@ -166,11 +166,11 @@ class WalManager {
   /// `start` (a frame boundary < durable_lsn()). The reader pulls the file
   /// in kScanReadAhead slabs, so a full-log scan costs sequential bandwidth
   /// instead of two small reads per record. Open-time analysis streams the
-  /// log through one; lazy per-page replay fetches each run of a page's
-  /// records through one (LogReader::set_limit bounds the read to the run)
-  /// and seeks among the frames in the slab. Bypasses the append mutex for
-  /// the same reason as ReadRecord's fast path (bytes below durable_ never
-  /// change), so per-page replay cannot convoy commit traffic.
+  /// log through one; per-page redo fetches each run of a page's records
+  /// through one (LogReader::set_limit bounds the read to the run) and
+  /// seeks among the frames in the slab. Bypasses the append mutex for the
+  /// same reason as ReadRecord's fast path (bytes below durable_ never
+  /// change).
   /// The slab may prefetch past the durable horizon, but frames starting
   /// below it never extend past it (durability lands on frame boundaries),
   /// so no volatile byte is ever parsed while the caller stays below
@@ -181,8 +181,8 @@ class WalManager {
   /// Deletes whole segments below `floor` (clamped to the durable horizon;
   /// the active segment always survives). The caller must have derived
   /// `floor` from a durable checkpoint (recovery/checkpoint.h computes it:
-  /// min of checkpoint begin, DPT recLSNs, ATT first-LSNs and the pending
-  /// RecoveryMap floor), so nothing below it can ever be read again.
+  /// min of checkpoint begin, DPT recLSNs and ATT first-LSNs), so nothing
+  /// below it can ever be read again.
   Status TruncateBelow(Lsn floor);
 
   /// First LSN still backed by a segment file: reads below return NotFound

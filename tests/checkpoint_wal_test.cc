@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <string>
@@ -488,6 +489,57 @@ TEST(ContinuousCheckpointTest, BoundsWalFootprintAndSurvivesCrash) {
     ASSERT_TRUE(tree->Get(txn, k, &v).ok()) << k;
   }
   ASSERT_TRUE(db->Commit(txn).ok());
+}
+
+// A checkpointer whose checkpoints keep failing never stops: it waits
+// longer between attempts while the device fails, reports the failure
+// through checkpointer_status(), and checkpoints again once the device
+// works, so the log shrinks again instead of growing for good.
+TEST(ContinuousCheckpointTest, CheckpointerResumesAfterDeviceFaultClears) {
+  SimEnv env;
+  FaultPlan plan;  // declared before the database, so it outlives it
+  Options opts;
+  opts.checkpoint_log_bytes = 16 << 10;
+  opts.fault_plan = &plan;
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(opts, &env, "db", &db).ok());
+  PiTree* tree = nullptr;
+  ASSERT_TRUE(db->CreateIndex("t", &tree).ok());
+  const std::string value(120, 'v');
+  int next_key = 0;
+  auto commit_until = [&](auto done) {
+    while (!done()) {
+      Transaction* txn = db->Begin();
+      ASSERT_TRUE(tree->Insert(txn, Key(next_key++), value).ok());
+      ASSERT_TRUE(db->Commit(txn).ok());
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  };
+  using Clock = std::chrono::steady_clock;
+
+  // Every data-file sync fails from here on, so every checkpoint fails in
+  // its sync phase; commits sync only the log and go on.
+  plan.FailNth(FaultOp::kSync, plan.op_count(FaultOp::kSync),
+               Status::IOError("injected: data file sync"), /*sticky=*/true,
+               "db.db");
+  const Clock::time_point fault_end = Clock::now() + std::chrono::seconds(2);
+  commit_until([&] { return Clock::now() >= fault_end; });
+  const Status failed = db->checkpointer_status();
+  EXPECT_TRUE(failed.IsIOError()) << failed.ToString();
+  EXPECT_NE(failed.ToString().find("injected"), std::string::npos);
+
+  plan.ClearErrorRules();
+  const uint64_t before = db->checkpoints_taken();
+  const Clock::time_point deadline = Clock::now() + std::chrono::seconds(2);
+  commit_until([&] {
+    return db->checkpoints_taken() > before || Clock::now() >= deadline;
+  });
+  EXPECT_GT(db->checkpoints_taken(), before)
+      << "checkpointer did not resume after the fault cleared";
+  EXPECT_TRUE(db->checkpointer_status().ok())
+      << db->checkpointer_status().ToString();
+  db.reset();
+  env.InstallFaultPlan(nullptr);
 }
 
 }  // namespace

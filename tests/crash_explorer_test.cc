@@ -27,12 +27,9 @@
 namespace pitree {
 namespace {
 
-using harness::CheckOnlineRecoveryOracle;
 using harness::CheckPostRecoveryOracle;
 using harness::ExplorerConfig;
-using harness::GetOnlineOptimisticTotals;
 using harness::MaterializeCrashImage;
-using harness::OnlineOptimisticTotals;
 using harness::RunScriptedWorkload;
 using harness::TornVariant;
 using harness::WorkloadTrace;
@@ -117,77 +114,6 @@ TEST(CrashExplorerTest, EverySyncPointRecoversUnderOracle) {
             << " torn_variants=" << torn_states
             << " recoveries=" << clean_states + torn_states
             << " unposted_split_recoveries=" << unposted_split_states << "\n";
-}
-
-// The online regime (DESIGN.md §13): the same crash-state space, but every
-// image recovers with Options::instant_restore and must serve oracle-checked
-// reads and fresh commits WHILE lazy redo drains, then land on the same
-// fully-recovered state the offline regime proves above. This is the paper's
-// recovery story taken to its limit — redo is just repeating per-page
-// history, so nothing requires it to finish before traffic starts.
-TEST(CrashExplorerTest, OnlineRecoveryServesTrafficUnderOracle) {
-  ExplorerConfig cfg;
-  cfg.seed = TestSeed(0xF417);
-  SCOPED_TRACE("repro: PITREE_TEST_SEED=" + std::to_string(cfg.seed));
-
-  WorkloadTrace trace;
-  ASSERT_TRUE(RunScriptedWorkload(cfg, &trace));
-  ASSERT_GE(trace.events.size(), 60u);
-
-  size_t clean_states = 0;
-  size_t torn_states = 0;
-
-  for (size_t n = 0; n <= trace.events.size(); ++n) {
-    if (n % 25 == 0) {
-      std::cout << "[explorer/online] crash point " << n << "/"
-                << trace.events.size() << std::endl;
-    }
-    {
-      SimEnv env;
-      MaterializeCrashImage(trace.events, n, nullptr, &env);
-      ASSERT_TRUE(CheckOnlineRecoveryOracle(
-          &env, trace, cfg,
-          "online, clean crash after sync point " + std::to_string(n)));
-      ++clean_states;
-    }
-    if (n == trace.events.size()) break;
-
-    const SyncEvent& ev = trace.events[n];
-    if (ev.atomic_replace || ev.bytes.size() < 2) continue;
-    const TornVariant variants[] = {
-        {ev.bytes.size() / 2, false},
-        {ev.bytes.size() / 2, true},
-        {ev.bytes.size() - 1, false},
-    };
-    for (const TornVariant& tv : variants) {
-      SimEnv env;
-      MaterializeCrashImage(trace.events, n, &tv, &env);
-      ASSERT_TRUE(CheckOnlineRecoveryOracle(
-          &env, trace, cfg,
-          "online, torn write at sync point " + std::to_string(n) +
-              ", keep=" + std::to_string(tv.keep_bytes) +
-              (tv.garbage_tail ? "+garbage" : "")));
-      ++torn_states;
-    }
-  }
-
-  // The §15 optimistic read path must have genuinely run against the
-  // commit-watermark oracle while lazy redo was still draining: across the
-  // whole online regime the mid-recovery traffic phases must score optimistic
-  // hits (pages pending in the RecoveryMap are unpublished, so those reads
-  // fall back to the latched path — that is the designed interaction, not a
-  // failure, hence hits > 0 rather than fallbacks == 0).
-  const OnlineOptimisticTotals opt = GetOnlineOptimisticTotals();
-  EXPECT_GT(opt.hits, 0u)
-      << "no optimistic read ever validated during online recovery";
-
-  std::cout << "[explorer/online] seed=" << cfg.seed
-            << " sync_points=" << trace.events.size()
-            << " clean_crash_states=" << clean_states
-            << " torn_variants=" << torn_states
-            << " online_recoveries=" << clean_states + torn_states
-            << " opt_hits=" << opt.hits << " opt_fallbacks=" << opt.fallbacks
-            << "\n";
 }
 
 // The continuous-checkpointing regime (DESIGN.md §14): the same explorer,

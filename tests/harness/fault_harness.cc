@@ -22,11 +22,6 @@ namespace harness {
 
 namespace {
 
-// Process-wide accumulators behind GetOnlineOptimisticTotals(): the explorer
-// sums them over every crash point it replays online.
-std::atomic<uint64_t> g_online_opt_hits{0};
-std::atomic<uint64_t> g_online_opt_fallbacks{0};
-
 std::string Key(int i) {
   char buf[16];
   std::snprintf(buf, sizeof(buf), "key%08d", i);
@@ -378,9 +373,7 @@ namespace {
   return ::testing::AssertionSuccess();
 }
 
-// Everything the oracle asserts about an opened database once recovery has
-// fully repeated history; shared by the offline check and (after the
-// traffic phase and the drain) the online one.
+// Everything the oracle asserts about a database that Open recovered.
 ::testing::AssertionResult VerifyRecoveredDb(Database* db,
                                              const WorkloadTrace& trace,
                                              Lsn prefix_end,
@@ -512,151 +505,6 @@ namespace {
   }
   return VerifyRecoveredDb(db.get(), trace, prefix_end, max_commit_ts, label,
                            side_traversals);
-}
-
-::testing::AssertionResult CheckOnlineRecoveryOracle(
-    SimEnv* env, const WorkloadTrace& trace, const ExplorerConfig& cfg,
-    const std::string& label) {
-  auto fail = [&label]() {
-    return ::testing::AssertionFailure() << label << ": ";
-  };
-  const Lsn prefix_end = ValidWalPrefix(env, kWalFile);
-  uint64_t max_commit_ts = 0;
-  ::testing::AssertionResult audit =
-      AuditWalCommitTs(env, prefix_end, &max_commit_ts, label);
-  if (!audit) return audit;
-
-  Options opts = WorkloadOptions(cfg);
-  // Deterministic verification (see CheckPostRecoveryOracle).
-  opts.checkpoint_interval_ms = 0;
-  opts.checkpoint_log_bytes = 0;
-  opts.instant_restore = true;
-  opts.recovery_sweeper = true;
-  // Pace the sweeper so the map stays populated while the traffic below
-  // races lazy redo; an instant drain would reduce this to the offline
-  // check with extra steps.
-  opts.recovery_sweep_delay_us = 20;
-  std::unique_ptr<Database> db;
-  Status s = Database::Open(opts, env, kDbName, &db);
-  if (!s.ok()) {
-    return fail() << "instant-restore open failed: " << s.ToString();
-  }
-
-  // Traffic during recovery. Readers sample every decidable key:
-  // provably-durable commits must already read correctly mid-drain —
-  // the pool replays a page before publishing its frame, so there is no
-  // window where stale bytes are visible. A writer commits fresh keys
-  // concurrently; redo of old history must not block new history.
-  constexpr int kOnlineKeys = 24;
-  PiTree* tree = nullptr;
-  const bool have_index = db->GetIndex(kIndexName, &tree).ok();
-  if (have_index) {
-    std::atomic<int> traffic_errors{0};
-    std::mutex err_mu;
-    std::string first_error;
-    auto note = [&](const std::string& msg) {
-      traffic_errors.fetch_add(1);
-      std::lock_guard<std::mutex> lk(err_mu);
-      if (first_error.empty()) first_error = msg;
-    };
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 2; ++t) {
-      threads.emplace_back([&, t] {
-        size_t i = 0;
-        for (const auto& [key, ops] : trace.committed_ops) {
-          if (static_cast<int>(i++ % 2) != t) continue;
-          Expect e = ClassifyKey(ops, prefix_end);
-          if (e == Expect::kUnknown) continue;
-          Transaction* txn = db->Begin();
-          std::string v;
-          Status g = tree->Get(txn, key, &v);
-          (void)db->Commit(txn);
-          if (e == Expect::kPresent && !g.ok()) {
-            note("mid-recovery read lost durable key " + key + ": " +
-                 g.ToString());
-          } else if (e == Expect::kAbsent && !g.IsNotFound()) {
-            note("mid-recovery read saw key that must be absent " + key +
-                 ": " + g.ToString());
-          }
-        }
-      });
-    }
-    threads.emplace_back([&] {
-      const std::string value(110, 'o');
-      for (int i = 0; i < kOnlineKeys; ++i) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "online%05d", i);
-        bool done = false;
-        for (int attempt = 0; attempt < 100 && !done; ++attempt) {
-          Transaction* txn = db->Begin();
-          Status is = tree->Insert(txn, buf, value);
-          if (is.ok()) {
-            Status cs = db->Commit(txn);
-            if (!cs.ok()) {
-              note(std::string("online commit ") + buf + ": " + cs.ToString());
-              return;
-            }
-            done = true;
-            break;
-          }
-          (void)db->Abort(txn);
-          if (!is.IsBusy() && !is.IsDeadlock()) {
-            note(std::string("online insert ") + buf + ": " + is.ToString());
-            return;
-          }
-        }
-        if (!done) {
-          note(std::string("online insert ") + buf + ": retries exhausted");
-          return;
-        }
-      }
-    });
-    for (auto& th : threads) th.join();
-    // Capture the optimistic-read counters while the sweeper may still be
-    // draining: these reads ran against the commit-watermark oracle above.
-    const PoolShardStats pstats = db->pool_stats().total;
-    g_online_opt_hits.fetch_add(pstats.opt_hits, std::memory_order_relaxed);
-    g_online_opt_fallbacks.fetch_add(pstats.opt_fallbacks,
-                                     std::memory_order_relaxed);
-    if (traffic_errors.load() != 0) {
-      return fail() << traffic_errors.load()
-                    << " online ops failed; first: " << first_error;
-    }
-  }
-
-  s = db->WaitUntilRecovered();
-  if (!s.ok()) return fail() << "WaitUntilRecovered: " << s.ToString();
-  if (db->recovery_pending_pages() != 0) {
-    return fail() << "recovery map not drained: "
-                  << db->recovery_pending_pages() << " pages pending";
-  }
-
-  if (have_index) {
-    // Commits made during recovery survived the drain.
-    Transaction* txn = db->Begin();
-    for (int i = 0; i < kOnlineKeys; ++i) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "online%05d", i);
-      std::string v;
-      Status g = tree->Get(txn, buf, &v);
-      if (!g.ok()) {
-        (void)db->Abort(txn);
-        return fail() << "key committed during recovery lost: " << buf << " ("
-                      << g.ToString() << ")";
-      }
-    }
-    s = db->Commit(txn);
-    if (!s.ok()) return fail() << "online-key check commit: " << s.ToString();
-  }
-
-  // With history fully repeated, the full offline oracle must hold.
-  return VerifyRecoveredDb(db.get(), trace, prefix_end, max_commit_ts, label,
-                           nullptr);
-}
-
-OnlineOptimisticTotals GetOnlineOptimisticTotals() {
-  return {g_online_opt_hits.load(std::memory_order_relaxed),
-          g_online_opt_fallbacks.load(std::memory_order_relaxed)};
 }
 
 }  // namespace harness

@@ -116,31 +116,6 @@ Lsn ValidWalPrefix(SimEnv* env, const std::string& wal_base);
     SimEnv* env, const WorkloadTrace& trace, const ExplorerConfig& cfg,
     const std::string& label, uint64_t* side_traversals = nullptr);
 
-/// Online-recovery variant of the oracle (DESIGN.md §13): opens the image
-/// with Options::instant_restore, then serves traffic while lazy redo is
-/// still draining — reader threads sample classified keys (provably-durable
-/// commits must already read correctly on first touch; the fetch path
-/// replays each page before publishing it) and a writer commits fresh keys
-/// racing the background sweeper. After WaitUntilRecovered() drains the
-/// map, every offline check above is re-run: instant restore must land on
-/// the same recovered state, it just serves during the trip.
-::testing::AssertionResult CheckOnlineRecoveryOracle(
-    SimEnv* env, const WorkloadTrace& trace, const ExplorerConfig& cfg,
-    const std::string& label);
-
-/// Buffer-pool optimistic-read counters (DESIGN.md §15) accumulated across
-/// every CheckOnlineRecoveryOracle run in this process, captured right
-/// after the mid-recovery traffic phase. The explorer asserts hits > 0
-/// over the online regime: optimistic reads genuinely ran against the
-/// commit-watermark oracle while lazy redo was still draining (fallbacks
-/// cover the pages still pending in the RecoveryMap, which the optimistic
-/// index must miss by construction).
-struct OnlineOptimisticTotals {
-  uint64_t hits = 0;
-  uint64_t fallbacks = 0;
-};
-OnlineOptimisticTotals GetOnlineOptimisticTotals();
-
 }  // namespace harness
 }  // namespace pitree
 

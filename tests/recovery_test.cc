@@ -18,6 +18,7 @@
 #include <thread>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,7 +30,6 @@
 #include "env/sim_env.h"
 #include "harness/abandon.h"
 #include "recovery/checkpoint.h"
-#include "recovery/recovery_map.h"
 #include "wal/log_reader.h"
 #include "wal/wal_segments.h"
 
@@ -249,81 +249,30 @@ class RecoveryTest : public ::testing::Test {
     }
   }
 
-  /// What one recovery of a clone of the crash image cost, from Open
-  /// through WaitUntilRecovered (offline mode has drained by then; instant
-  /// mode, sweeper off, drains inside WaitUntilRecovered).
+  /// What one recovery of a clone of the crash image cost.
   struct RestartReads {
-    uint64_t reads = 0;  // device reads, every file
+    uint64_t reads = 0;  // device reads, every file, during Open
     uint64_t records_redone = 0;
-    uint64_t pages_replayed = 0;
+    uint64_t pages_redone = 0;
   };
 
-  void MeasureRestart(Options opts, bool instant, RestartReads* out) {
+  void MeasureRestart(Options opts, RestartReads* out) {
     SimEnv image;
     CloneImage(&image);
     // Counts reads and injects nothing; declared before `db` so it outlives
     // the database's shutdown flush.
     FaultPlan counter;
     opts.fault_plan = &counter;
-    opts.instant_restore = instant;
-    opts.recovery_sweeper = false;
+    RecoveryStats stats;
     std::unique_ptr<Database> db;
-    ASSERT_TRUE(Database::Open(opts, &image, "db", &db).ok());
-    ASSERT_TRUE(db->WaitUntilRecovered().ok());
+    ASSERT_TRUE(Database::Open(opts, &image, "db", &db, &stats).ok());
     out->reads = counter.op_count(FaultOp::kRead);
-    out->records_redone = db->recovery_map()->records_replayed();
-    out->pages_replayed = db->recovery_map()->pages_replayed();
+    out->records_redone = stats.records_redone;
+    out->pages_redone = stats.pages_redone;
   }
 
   SimEnv env_;
 };
-
-// The cursor walk behind the paced sweeper: pending page ids come back in
-// ascending order, the floor is inclusive, and entries retired while a walk
-// is under way (demand fetches racing the sweeper) are never returned again.
-TEST(RecoveryMapTest, PendingWalkIsAscendingFromFloor) {
-  RecoveryMap map(nullptr);
-  std::map<PageId, RecoveryMap::PendingPage> pending;
-  for (PageId id : {40u, 7u, 19u, 3u, 88u, 20u}) {
-    RecoveryMap::PendingPage entry;
-    entry.rec_lsn = 1000 + 100 * id;
-    entry.records.push_back({entry.rec_lsn, entry.rec_lsn + 60});
-    pending.emplace(id, entry);
-  }
-  pending.emplace(55, RecoveryMap::PendingPage());  // no records: dropped
-  map.Install(std::move(pending));
-  EXPECT_EQ(map.pending_pages(), 6u);
-  EXPECT_EQ(map.records_indexed(), 6u);
-
-  PageId pid = kInvalidPageId;
-  ASSERT_TRUE(map.FirstPendingAtLeast(0, &pid));
-  EXPECT_EQ(pid, 3u);
-  ASSERT_TRUE(map.FirstPendingAtLeast(19, &pid));
-  EXPECT_EQ(pid, 19u);
-  ASSERT_TRUE(map.FirstPendingAtLeast(21, &pid));
-  EXPECT_EQ(pid, 40u);
-  ASSERT_TRUE(map.FirstPendingAtLeast(41, &pid));
-  EXPECT_EQ(pid, 88u);
-  EXPECT_FALSE(map.FirstPendingAtLeast(89, &pid));
-
-  std::vector<PageId> visited;
-  PageId floor = 0;
-  while (map.FirstPendingAtLeast(floor, &pid)) {
-    visited.push_back(pid);
-    if (pid == 7) {
-      // Retire entries ahead of the cursor, as a demand fetch would.
-      map.MarkReplayed(19);
-      map.DiscardPending(20);
-    }
-    map.MarkReplayed(pid);
-    floor = pid + 1;
-  }
-  EXPECT_EQ(visited, (std::vector<PageId>{3, 7, 40, 88}));
-  EXPECT_EQ(map.pending_pages(), 0u);
-  EXPECT_FALSE(map.FirstPendingAtLeast(0, &pid));
-  EXPECT_EQ(map.pages_replayed(), 5u);
-  EXPECT_EQ(map.pages_discarded(), 1u);
-}
 
 TEST_F(RecoveryTest, CommittedTransactionSurvivesCrashWithoutPageFlush) {
   {
@@ -569,24 +518,108 @@ TEST_F(RecoveryTest, AtomicActionLoserCountsAreReported) {
   EXPECT_GT(stats.records_redone, 100u);
 }
 
-// Instant restore leans entirely on the LSN state identifier (§5.2): a
-// page's redo range may be replayed at any time, in any interleaving with
-// other pages, and even more than once, and must always produce the same
-// bytes. This test pins that property directly: from one crash image,
-// (a) replaying a page's range twice is byte-identical to replaying it
-// once, and (b) the lazily-replayed page equals the page offline recovery
-// produces — per-page redo IS log-order redo, page by page.
-TEST_F(RecoveryTest, LazyRedoIsIdempotentAndMatchesOffline) {
-  // Scripted workload: enough volume for splits, plus a loser so undo work
-  // coexists with pending redo. Crash with nothing flushed, so every
-  // touched page has its whole history pending.
+/// Watches the page file of the wrapped env: records which threads read
+/// it and, once armed, fails its reads after a given number, like a device
+/// that dies partway through a restart. Everything else passes through.
+class PageFileEnv : public Env {
+ public:
+  explicit PageFileEnv(Env* base) : base_(base) {}
+
+  Status OpenFile(const std::string& name,
+                  std::unique_ptr<File>* file) override {
+    std::unique_ptr<File> inner;
+    PITREE_RETURN_IF_ERROR(base_->OpenFile(name, &inner));
+    if (name == "db.db") {
+      file->reset(new RecordingFile(std::move(inner), this));
+    } else {
+      *file = std::move(inner);
+    }
+    return Status::OK();
+  }
+  bool FileExists(const std::string& name) const override {
+    return base_->FileExists(name);
+  }
+  Status DeleteFile(const std::string& name) override {
+    return base_->DeleteFile(name);
+  }
+  Status WriteFileAtomic(const std::string& name,
+                         const Slice& data) override {
+    return base_->WriteFileAtomic(name, data);
+  }
+  Status ReadFileToString(const std::string& name,
+                          std::string* data) override {
+    return base_->ReadFileToString(name, data);
+  }
+  void InstallFaultPlan(FaultPlan* plan) override {
+    base_->InstallFaultPlan(plan);
+  }
+
+  std::set<std::thread::id> readers() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return readers_;
+  }
+
+  /// Every page-file read after the next `n` fails; nullopt heals it.
+  void FailReadsAfter(std::optional<uint64_t> n) {
+    std::lock_guard<std::mutex> lk(mu_);
+    failing_after_ = n;
+    reads_since_armed_ = 0;
+  }
+
+ private:
+  class RecordingFile : public File {
+   public:
+    RecordingFile(std::unique_ptr<File> inner, PageFileEnv* env)
+        : inner_(std::move(inner)), env_(env) {}
+    Status Read(uint64_t offset, size_t n, Slice* result,
+                char* scratch) const override {
+      {
+        std::lock_guard<std::mutex> lk(env_->mu_);
+        env_->readers_.insert(std::this_thread::get_id());
+        if (env_->failing_after_.has_value() &&
+            env_->reads_since_armed_++ >= *env_->failing_after_) {
+          return Status::IOError("injected: page read");
+        }
+      }
+      return inner_->Read(offset, n, result, scratch);
+    }
+    Status Write(uint64_t offset, const Slice& data) override {
+      return inner_->Write(offset, data);
+    }
+    Status Sync() override { return inner_->Sync(); }
+    uint64_t Size() const override { return inner_->Size(); }
+    Status Truncate(uint64_t size) override { return inner_->Truncate(size); }
+
+   private:
+    std::unique_ptr<File> inner_;
+    PageFileEnv* const env_;
+  };
+
+  Env* const base_;
+  mutable std::mutex mu_;
+  std::set<std::thread::id> readers_;
+  std::optional<uint64_t> failing_after_;
+  uint64_t reads_since_armed_ = 0;
+};
+
+// Redo leans on the LSN state identifier (§5.2): a page's records may be
+// replayed onto any image of it, even one that already holds some of them,
+// and must always produce the same bytes. Here an Open fails partway
+// through redo, after evictions have written some replayed pages back to
+// the data file. The next Open, with no crash in between, skips the records
+// those pages already hold and lands on exactly the pages a clean recovery
+// of the same crash image produces.
+TEST_F(RecoveryTest, RedoResumedAfterFailedOpenMatchesCleanRecovery) {
+  Options opts = DefaultOptions();
+  opts.buffer_pool_pages = 16;  // redo evicts replayed pages
+  constexpr int kKeys = 3000;
   {
     std::unique_ptr<Database> db;
-    ASSERT_TRUE(Database::Open(DefaultOptions(), &env_, "db", &db).ok());
+    ASSERT_TRUE(Database::Open(opts, &env_, "db", &db).ok());
     PiTree* tree;
     ASSERT_TRUE(db->CreateIndex("t", &tree).ok());
-    std::string value(120, 'v');
-    for (int i = 0; i < 200; ++i) {
+    const std::string value(150, 'v');
+    for (int i = 0; i < kKeys; ++i) {
       Transaction* txn = db->Begin();
       ASSERT_TRUE(tree->Insert(txn, Key(i), value).ok());
       ASSERT_TRUE(db->Commit(txn).ok());
@@ -597,96 +630,48 @@ TEST_F(RecoveryTest, LazyRedoIsIdempotentAndMatchesOffline) {
     env_.Crash();
     harness::AbandonDatabase(db);
   }
+  SimEnv image;
+  CloneImage(&image);
 
-  // Clone the crash image so the offline and instant recoveries each work
-  // on their own copy of the exact same durable state.
-  SimEnv env2;
-  CloneImage(&env2);
+  // Reference: a clean recovery of the original image.
+  RecoveryStats clean_stats;
+  std::unique_ptr<Database> clean;
+  ASSERT_TRUE(Database::Open(opts, &env_, "db", &clean, &clean_stats).ok());
+  ASSERT_GT(clean_stats.records_redone, 0u);
 
-  // Reference: offline recovery repeats all history during Open.
-  std::unique_ptr<Database> offline;
-  ASSERT_TRUE(Database::Open(DefaultOptions(), &env_, "db", &offline).ok());
-
-  // Instant restore with the sweeper off: the map drains only when this
-  // test says so, keeping the pending set inspectable.
-  Options iopts = DefaultOptions();
-  iopts.instant_restore = true;
-  iopts.recovery_sweeper = false;
+  // The page file fails for good after 64 reads; the log reads normally.
+  PageFileEnv device(&image);
+  device.FailReadsAfter(64);
+  {
+    std::unique_ptr<Database> db;
+    Status s = Database::Open(opts, &device, "db", &db);
+    ASSERT_TRUE(s.IsIOError()) << s.ToString();
+  }
+  device.FailReadsAfter(std::nullopt);
   RecoveryStats stats;
-  std::unique_ptr<Database> instant;
-  ASSERT_TRUE(Database::Open(iopts, &env2, "db", &instant, &stats).ok());
-  RecoveryMap* map = instant->recovery_map();
-  // Undo fetched (and so replayed) the loser's pages, but the bulk of the
-  // workload's pages must still be pending — Open did not repeat history.
-  ASSERT_GE(map->pending_pages(), 5u) << "workload left too little pending";
-  EXPECT_GT(stats.pages_pending, 0u);
-  EXPECT_GT(stats.records_indexed, 0u);
+  std::unique_ptr<Database> resumed;
+  ASSERT_TRUE(Database::Open(opts, &device, "db", &resumed, &stats).ok());
+  EXPECT_LT(stats.records_redone, clean_stats.records_redone)
+      << "no replayed page reached the data file before the fault";
 
-  std::unique_ptr<File> raw;
-  ASSERT_TRUE(env2.OpenFile("db.db", &raw).ok());
-  size_t compared = 0;
-  for (const auto& [page, rec_lsn] : map->PendingDpt()) {
-    // The durable image as the crash left it (never-written tail = zeros,
-    // exactly what DiskManager presents to the pool).
-    std::vector<char> once(kPageSize, 0);
-    Slice got;
-    ASSERT_TRUE(raw->Read(static_cast<uint64_t>(page) * kPageSize, kPageSize,
-                          &got, once.data())
-                    .ok());
-    if (got.size() > 0 && got.data() != once.data()) {
-      memcpy(once.data(), got.data(), got.size());
+  // Every page the log names comes back byte-identical.
+  WalManager* wal = clean->context()->wal;
+  LogReader scan = wal->MakeDurableScanner(wal->floor_lsn());
+  LogRecord rec;
+  PageId last_page = 0;
+  while (scan.offset() < wal->durable_lsn() && scan.ReadNext(&rec).ok()) {
+    if (rec.type == LogRecordType::kUpdate ||
+        rec.type == LogRecordType::kClr) {
+      last_page = std::max(last_page, rec.page_id);
     }
-
-    bool had_entry = false, applied = false;
-    Lsn first_lsn = kInvalidLsn;
-    ASSERT_TRUE(
-        map->ReplayOnto(page, once.data(), &had_entry, &applied, &first_lsn)
-            .ok());
-    ASSERT_TRUE(had_entry);
-    ASSERT_TRUE(applied) << "pending page " << page << " had nothing to redo";
-
-    // (a) Idempotence: a second full replay of the same range must be a
-    // no-op — every record now fails the LSN test.
-    std::vector<char> twice = once;
-    ASSERT_TRUE(
-        map->ReplayOnto(page, twice.data(), &had_entry, &applied, &first_lsn)
-            .ok());
-    EXPECT_FALSE(applied) << "second replay re-applied records on " << page;
-    ASSERT_EQ(memcmp(once.data(), twice.data(), kPageSize), 0)
-        << "double replay diverged on page " << page;
-
-    // (b) Offline equivalence: byte-identical to the page the offline pass
-    // produced.
-    PageHandle h;
-    ASSERT_TRUE(offline->context()->pool->FetchPage(page, &h).ok());
-    ASSERT_EQ(memcmp(once.data(), h.data(), kPageSize), 0)
-        << "lazy redo diverged from offline redo on page " << page;
-    ++compared;
   }
-  EXPECT_GE(compared, 5u);
-
-  // Drain and cross-check the recovered trees agree key by key.
-  ASSERT_TRUE(instant->WaitUntilRecovered().ok());
-  EXPECT_EQ(instant->recovery_pending_pages(), 0u);
-  PiTree *t1, *t2;
-  ASSERT_TRUE(offline->GetIndex("t", &t1).ok());
-  ASSERT_TRUE(instant->GetIndex("t", &t2).ok());
-  for (int i = 0; i < 200; ++i) {
-    Transaction* x1 = offline->Begin();
-    Transaction* x2 = instant->Begin();
-    std::string v1, v2;
-    ASSERT_TRUE(t1->Get(x1, Key(i), &v1).ok());
-    ASSERT_TRUE(t2->Get(x2, Key(i), &v2).ok()) << Key(i);
-    EXPECT_EQ(v1, v2);
-    (void)offline->Commit(x1);
-    (void)instant->Commit(x2);
+  ASSERT_GT(last_page, 64u);
+  for (PageId page = 0; page <= last_page; ++page) {
+    PageHandle a, b;
+    ASSERT_TRUE(clean->context()->pool->FetchPage(page, &a).ok());
+    ASSERT_TRUE(resumed->context()->pool->FetchPage(page, &b).ok());
+    ASSERT_EQ(memcmp(a.data(), b.data(), kPageSize), 0) << "page " << page;
   }
-  Transaction* x2 = instant->Begin();
-  std::string v;
-  EXPECT_TRUE(t2->Get(x2, "loser-key", &v).IsNotFound());
-  (void)instant->Commit(x2);
-  std::string report;
-  EXPECT_TRUE(t2->CheckWellFormed(&report).ok()) << report;
 }
 
 // A fuzzy checkpoint races writers: an update to an already-dirty page can
@@ -762,61 +747,6 @@ TEST_F(RecoveryTest, CheckpointRecLsnSurvivesInWindowUpdate) {
   (void)db->Commit(txn);
 }
 
-// A page whose lazy-redo fetch fails persistently (dead disk) must not turn
-// the background sweeper into a tight retry loop: it backs off on each
-// error, parks after a bounded streak, and leaves the residue to demand
-// fetches — which recover normally once the device returns.
-TEST_F(RecoveryTest, SweeperBacksOffOnPersistentReadFaults) {
-  FaultPlan plan;
-  env_.InstallFaultPlan(&plan);
-  Options opts = DefaultOptions();
-  opts.buffer_pool_pages = 16;  // evictions: stale durable images need redo
-  {
-    std::unique_ptr<Database> db;
-    ASSERT_TRUE(Database::Open(opts, &env_, "db", &db).ok());
-    PiTree* tree;
-    ASSERT_TRUE(db->CreateIndex("t", &tree).ok());
-    std::string value(150, 'x');
-    for (int i = 0; i < 400; ++i) {
-      Transaction* txn = db->Begin();
-      ASSERT_TRUE(tree->Insert(txn, Key(i), value).ok());
-      ASSERT_TRUE(db->Commit(txn).ok());
-    }
-    env_.Crash();
-    harness::AbandonDatabase(db);
-  }
-  Options iopts = opts;
-  iopts.instant_restore = true;
-  iopts.recovery_sweeper = true;
-  // Pace the sweeper so the map is still populated when the fault arms.
-  iopts.recovery_sweep_delay_us = 20000;
-  std::unique_ptr<Database> db;
-  ASSERT_TRUE(Database::Open(iopts, &env_, "db", &db).ok());
-  ASSERT_GT(db->recovery_pending_pages(), 1u);
-  // Page-file reads fail sticky from here on; the WAL is untouched.
-  plan.FailNth(FaultOp::kRead, plan.op_count(FaultOp::kRead),
-               Status::IOError("injected: page read failed"),
-               /*sticky=*/true, "db.db");
-  // Long enough for the sweeper to wrap the pending list many times and hit
-  // its 1000-error park bound (1000 × 100us backoff ≈ 100ms); a spinning
-  // sweeper would burn this interval at 100% CPU, a correct one sleeps.
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  EXPECT_GT(db->recovery_pending_pages(), 0u);
-  plan.ClearErrorRules();
-  ASSERT_TRUE(db->WaitUntilRecovered().ok());
-  EXPECT_EQ(db->recovery_pending_pages(), 0u);
-  PiTree* tree;
-  ASSERT_TRUE(db->GetIndex("t", &tree).ok());
-  std::string report;
-  ASSERT_TRUE(tree->CheckWellFormed(&report).ok()) << report;
-  Transaction* txn = db->Begin();
-  std::string v;
-  for (int i = 0; i < 400; i += 37) {
-    ASSERT_TRUE(tree->Get(txn, Key(i), &v).ok()) << Key(i);
-  }
-  (void)db->Commit(txn);
-}
-
 // Replay fetches each page's records in coalesced runs. Pages filled in key
 // order keep their whole history in one stretch of log, so a restart costs
 // about two reads per page (the page, then its run) rather than two per
@@ -838,16 +768,12 @@ TEST_F(RecoveryTest, ClusteredRedoReadsFarFewerThanRecords) {
     env_.Crash();
     harness::AbandonDatabase(db);
   }
-  RestartReads offline, instant;
-  MeasureRestart(opts, /*instant=*/false, &offline);
-  MeasureRestart(opts, /*instant=*/true, &instant);
-  for (const RestartReads* r : {&offline, &instant}) {
-    EXPECT_GE(r->records_redone, 2000u);
-    EXPECT_LT(r->reads * 4, r->records_redone)
-        << r->reads << " reads for " << r->records_redone << " records";
-  }
-  // Both modes repeat the same history.
-  EXPECT_EQ(offline.records_redone, instant.records_redone);
+  RestartReads offline;
+  MeasureRestart(opts, &offline);
+  EXPECT_GE(offline.records_redone, 2000u);
+  EXPECT_LT(offline.reads * 4, offline.records_redone)
+      << offline.reads << " reads for " << offline.records_redone
+      << " records";
 }
 
 // Updates to uniformly random keys scatter each page's records over the log,
@@ -888,23 +814,20 @@ TEST_F(RecoveryTest, ScatteredRedoReadsAtMostOnePerRecord) {
   // WAL's segment header and tail, the analysis slabs and the metadata
   // pages: a handful.
   constexpr uint64_t kFixedReads = 16;
-  RestartReads offline, instant;
-  MeasureRestart(opts, /*instant=*/false, &offline);
-  MeasureRestart(opts, /*instant=*/true, &instant);
-  for (const RestartReads* r : {&offline, &instant}) {
-    EXPECT_GE(r->records_redone, 2000u);
-    EXPECT_LE(r->reads, r->records_redone + r->pages_replayed + kFixedReads)
-        << r->records_redone << " records on " << r->pages_replayed
-        << " pages";
-  }
-  EXPECT_EQ(offline.records_redone, instant.records_redone);
+  RestartReads offline;
+  MeasureRestart(opts, &offline);
+  EXPECT_GE(offline.records_redone, 2000u);
+  EXPECT_LE(offline.reads,
+            offline.records_redone + offline.pages_redone + kFixedReads)
+      << offline.records_redone << " records on " << offline.pages_redone
+      << " pages";
 }
 
 // Pre-crash image oracle. With 64 KiB WAL segments and a few hot keys
 // updated from one end of the log to the other, some page's records span
 // several slab-sized runs and runs cross segment boundaries. After a crash
 // that flushed only the WAL, every page must come back byte-identical to
-// its image just before the crash, through offline and lazy redo alike.
+// its image just before the crash.
 TEST_F(RecoveryTest, RecoveredPagesMatchPreCrashImages) {
   Options opts = DefaultOptions();
   opts.buffer_pool_pages = 4096;  // nothing evicts: every page stays dirty
@@ -954,21 +877,13 @@ TEST_F(RecoveryTest, RecoveredPagesMatchPreCrashImages) {
     harness::AbandonDatabase(db);
   }
   ASSERT_GE(images.size(), 20u);
-  for (bool instant : {false, true}) {
-    SimEnv image;
-    CloneImage(&image);
-    Options ropts = opts;
-    ropts.instant_restore = instant;
-    ropts.recovery_sweeper = false;
-    std::unique_ptr<Database> db;
-    ASSERT_TRUE(Database::Open(ropts, &image, "db", &db).ok());
-    ASSERT_TRUE(db->WaitUntilRecovered().ok());
-    for (const auto& [page, bytes] : images) {
-      PageHandle h;
-      ASSERT_TRUE(db->context()->pool->FetchPage(page, &h).ok());
-      ASSERT_EQ(memcmp(h.data(), bytes.data(), kPageSize), 0)
-          << (instant ? "instant" : "offline") << " restore, page " << page;
-    }
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(opts, &env_, "db", &db).ok());
+  for (const auto& [page, bytes] : images) {
+    PageHandle h;
+    ASSERT_TRUE(db->context()->pool->FetchPage(page, &h).ok());
+    ASSERT_EQ(memcmp(h.data(), bytes.data(), kPageSize), 0)
+        << "offline restore, page " << page;
   }
 }
 
@@ -1033,76 +948,6 @@ TEST_F(RecoveryTest, RedoReadFaultFailsOpenThenNextOpenRecovers) {
   env_.InstallFaultPlan(nullptr);
 }
 
-/// Records which threads read the page file; everything else passes
-/// through to the wrapped env.
-class ReadThreadsEnv : public Env {
- public:
-  explicit ReadThreadsEnv(Env* base) : base_(base) {}
-
-  Status OpenFile(const std::string& name,
-                  std::unique_ptr<File>* file) override {
-    std::unique_ptr<File> inner;
-    PITREE_RETURN_IF_ERROR(base_->OpenFile(name, &inner));
-    if (name == "db.db") {
-      file->reset(new RecordingFile(std::move(inner), this));
-    } else {
-      *file = std::move(inner);
-    }
-    return Status::OK();
-  }
-  bool FileExists(const std::string& name) const override {
-    return base_->FileExists(name);
-  }
-  Status DeleteFile(const std::string& name) override {
-    return base_->DeleteFile(name);
-  }
-  Status WriteFileAtomic(const std::string& name,
-                         const Slice& data) override {
-    return base_->WriteFileAtomic(name, data);
-  }
-  Status ReadFileToString(const std::string& name,
-                          std::string* data) override {
-    return base_->ReadFileToString(name, data);
-  }
-  void InstallFaultPlan(FaultPlan* plan) override {
-    base_->InstallFaultPlan(plan);
-  }
-
-  std::set<std::thread::id> readers() const {
-    std::lock_guard<std::mutex> lk(mu_);
-    return readers_;
-  }
-
- private:
-  class RecordingFile : public File {
-   public:
-    RecordingFile(std::unique_ptr<File> inner, ReadThreadsEnv* env)
-        : inner_(std::move(inner)), env_(env) {}
-    Status Read(uint64_t offset, size_t n, Slice* result,
-                char* scratch) const override {
-      {
-        std::lock_guard<std::mutex> lk(env_->mu_);
-        env_->readers_.insert(std::this_thread::get_id());
-      }
-      return inner_->Read(offset, n, result, scratch);
-    }
-    Status Write(uint64_t offset, const Slice& data) override {
-      return inner_->Write(offset, data);
-    }
-    Status Sync() override { return inner_->Sync(); }
-    uint64_t Size() const override { return inner_->Size(); }
-    Status Truncate(uint64_t size) override { return inner_->Truncate(size); }
-
-   private:
-    std::unique_ptr<File> inner_;
-    ReadThreadsEnv* const env_;
-  };
-
-  Env* const base_;
-  mutable std::mutex mu_;
-  std::set<std::thread::id> readers_;
-};
-
 // With many pages pending and each read slow, offline redo overlaps its page
 // reads on more than one thread instead of fetching one page at a time.
 TEST_F(RecoveryTest, OfflineRedoReadsPagesOnSeveralThreads) {
@@ -1123,10 +968,11 @@ TEST_F(RecoveryTest, OfflineRedoReadsPagesOnSeveralThreads) {
     harness::AbandonDatabase(db);
   }
   env_.set_read_delay_us(200);
-  ReadThreadsEnv env(&env_);
+  PageFileEnv env(&env_);
+  RecoveryStats stats;
   std::unique_ptr<Database> db;
-  ASSERT_TRUE(Database::Open(opts, &env, "db", &db).ok());
-  EXPECT_GE(db->recovery_map()->pages_replayed(), 64u);
+  ASSERT_TRUE(Database::Open(opts, &env, "db", &db, &stats).ok());
+  EXPECT_GE(stats.pages_redone, 64u);
   EXPECT_GT(env.readers().size(), 1u);
   env_.set_read_delay_us(0);
 }
