@@ -459,10 +459,10 @@ void ClearWaitAndHoldLocked(Checker* c, ThreadState* ts, const void* addr,
 
 // ---- optimistic-section state (DESIGN.md §15) -----------------------------
 // Per-thread because the discipline is per-thread: the depth counts open
-// EpochGuard sections; the pending flag marks a staged copy-out whose
-// version-word validation has not run yet.
+// EpochGuard sections; the pending frame is the one whose in-place reads
+// have not been validated against its version word yet.
 thread_local uint32_t t_opt_depth = 0;
-thread_local bool t_opt_copy_unvalidated = false;
+thread_local const void* t_opt_unvalidated = nullptr;
 
 void CheckNotInOptimisticSection(const char* what) {
   if (t_opt_depth == 0) return;
@@ -622,26 +622,34 @@ void OnOptimisticExit() {
            "epoch section exit with no section open (unbalanced "
            "EpochGuard hooks)");
   }
-  if (t_opt_copy_unvalidated) {
+  if (t_opt_unvalidated != nullptr) {
     Report("optimistic discipline violation",
-           "epoch section ended with a copied-out page image never "
-           "validated against its version word (validate-before-use)");
+           "epoch section ended with frame bytes read in place and never "
+           "validated against the frame's version word "
+           "(validate-before-use)");
   }
   --t_opt_depth;
 }
 
-void OnOptimisticCopy() {
+void OnOptimisticRead(const void* frame) {
   if (t_opt_depth == 0) {
     Report("optimistic discipline violation",
-           "optimistic copy-out of frame bytes with no epoch section open "
-           "(nothing stops the frame's bytes from being recycled mid-copy)");
+           "in-place read of frame bytes with no epoch section open "
+           "(nothing stops the frame's bytes from being recycled mid-read)");
   }
-  t_opt_copy_unvalidated = true;
+  if (t_opt_unvalidated != nullptr && t_opt_unvalidated != frame) {
+    Report("optimistic discipline violation",
+           "in-place read of a frame while another frame's reads await "
+           "validation: a pointer read from a page was followed before "
+           "that page validated (validate-before-use)");
+  }
+  t_opt_unvalidated = frame;
 }
 
-void OnOptimisticValidated(bool ok) {
-  (void)ok;  // a failed validate still discharges the copy: it is discarded
-  t_opt_copy_unvalidated = false;
+void OnOptimisticValidated(const void* frame, bool ok) {
+  // A failed validate still discharges the reads: they are discarded.
+  (void)ok;
+  if (frame == t_opt_unvalidated) t_opt_unvalidated = nullptr;
 }
 
 void OnLockBlockingRequest(const char* resource) {

@@ -61,15 +61,17 @@ void OnMutexReleased(const void* addr, Rank rank);   // before unlock()
 // ---- optimistic (OLC) section hooks ---------------------------------------
 // The optimistic discipline (DESIGN.md §15): inside an epoch section a
 // thread may not issue any blocking latch/mutex/lock acquire (a parked
-// reader would stall every reclaimer's grace period), and a staged copy-out
-// of frame bytes must be validated against its version word before the
-// section ends (validate-before-use). Enter/Exit are called by EpochGuard
-// on the outermost transitions; Copy/Validated by the pool's copy-out and
-// Latch::Validate.
+// reader would stall every reclaimer's grace period), and frame bytes read
+// in place are used only once validated (validate-before-use): a read of
+// one frame must be validated against that frame's version word before the
+// reader reads another frame (follows a pointer it read) and before the
+// section ends. Enter/Exit are called by EpochGuard on the outermost
+// transitions; Read by the pool's in-place access (`frame` is the frame's
+// latch); Validated by Latch::Validate.
 void OnOptimisticEnter();
 void OnOptimisticExit();
-void OnOptimisticCopy();
-void OnOptimisticValidated(bool ok);
+void OnOptimisticRead(const void* frame);
+void OnOptimisticValidated(const void* frame, bool ok);
 
 // ---- lock-manager hooks ---------------------------------------------------
 void OnLockBlockingRequest(const char* resource);  // Lock(wait=true) entry
@@ -111,8 +113,8 @@ inline void OnMutexAcquired(const void*, Rank) {}
 inline void OnMutexReleased(const void*, Rank) {}
 inline void OnOptimisticEnter() {}
 inline void OnOptimisticExit() {}
-inline void OnOptimisticCopy() {}
-inline void OnOptimisticValidated(bool) {}
+inline void OnOptimisticRead(const void*) {}
+inline void OnOptimisticValidated(const void*, bool) {}
 inline void OnLockBlockingRequest(const char*) {}
 inline void OnLockWaitBegin(const char*) {}
 inline void OnLockWaitEnd() {}

@@ -5,8 +5,9 @@ namespace pitree {
 void FaultPlan::FailNth(FaultOp op, uint64_t nth, Status error, bool sticky,
                         std::string file_substr) {
   std::lock_guard<std::mutex> lk(mu_);
+  const uint64_t seen = CountLocked(op, file_substr);
   rules_.push_back(
-      Rule{op, nth, std::move(error), sticky, std::move(file_substr)});
+      Rule{op, nth, std::move(error), sticky, std::move(file_substr), seen});
 }
 
 void FaultPlan::ClearErrorRules() {
@@ -30,9 +31,21 @@ FaultPlan::TearSpec FaultPlan::TakeTearSpec() {
   return spec;
 }
 
-uint64_t FaultPlan::op_count(FaultOp op) const {
+uint64_t FaultPlan::op_count(FaultOp op,
+                             const std::string& file_substr) const {
   std::lock_guard<std::mutex> lk(mu_);
-  return counts_[static_cast<size_t>(op)];
+  return CountLocked(op, file_substr);
+}
+
+uint64_t FaultPlan::CountLocked(FaultOp op,
+                                const std::string& file_substr) const {
+  uint64_t n = 0;
+  for (const auto& [file, counts] : counts_) {
+    if (file.find(file_substr) != std::string::npos) {
+      n += counts[static_cast<size_t>(op)];
+    }
+  }
+  return n;
 }
 
 void FaultPlan::EnableRecording() {
@@ -50,20 +63,22 @@ std::vector<SyncEvent> FaultPlan::TakeRecording() {
 
 Status FaultPlan::BeforeOp(FaultOp op, const std::string& file) {
   std::lock_guard<std::mutex> lk(mu_);
-  // The op's index is its pre-increment count: the first sync is sync #0.
-  uint64_t n = counts_[static_cast<size_t>(op)]++;
+  ++counts_[file][static_cast<size_t>(op)];
+  Status result;
   for (Rule& rule : rules_) {
-    if (rule.op != op || rule.spent) continue;
-    if (!rule.file_substr.empty() &&
+    if (rule.op != op || rule.spent ||
         file.find(rule.file_substr) == std::string::npos) {
       continue;
     }
-    if (rule.sticky ? n >= rule.at : n == rule.at) {
+    // The op's index among the rule's matches is its pre-increment count:
+    // the first matching sync is sync #0.
+    const uint64_t n = rule.seen++;
+    if (result.ok() && (rule.sticky ? n >= rule.at : n == rule.at)) {
       if (!rule.sticky) rule.spent = true;
-      return rule.error;
+      result = rule.error;
     }
   }
-  return Status::OK();
+  return result;
 }
 
 void FaultPlan::RecordEvent(SyncEvent event) {

@@ -1,7 +1,9 @@
 #ifndef PITREE_ENV_FAULT_PLAN_H_
 #define PITREE_ENV_FAULT_PLAN_H_
 
+#include <array>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -54,10 +56,12 @@ class FaultPlan {
 
   // -- error schedules ------------------------------------------------------
 
-  /// Fails the `nth` (0-based, counted per op kind since plan construction)
-  /// matching operation with `error`. Empty `file_substr` matches any file.
-  /// With `sticky`, every matching op from the nth on fails — a dead disk;
-  /// otherwise the rule fires once.
+  /// Fails the `nth` matching operation with `error`: an op of kind `op` on
+  /// a file whose name contains `file_substr` (empty matches any file),
+  /// counted 0-based since plan construction over matching ops only, so
+  /// `op_count(op, file_substr)` names the next one. With `sticky`, every
+  /// matching op from the nth on fails — a dead disk; otherwise the rule
+  /// fires once.
   void FailNth(FaultOp op, uint64_t nth, Status error, bool sticky = false,
                std::string file_substr = "");
 
@@ -87,8 +91,9 @@ class FaultPlan {
 
   // -- counters and recording ----------------------------------------------
 
-  /// Operations of the given kind observed so far (failed ones included).
-  uint64_t op_count(FaultOp op) const;
+  /// Operations of the given kind observed so far (failed ones included)
+  /// on files whose name contains `file_substr` (empty: every file).
+  uint64_t op_count(FaultOp op, const std::string& file_substr = "") const;
 
   /// Sync points observed so far — shorthand for op_count(FaultOp::kSync).
   uint64_t sync_points() const { return op_count(FaultOp::kSync); }
@@ -118,11 +123,14 @@ class FaultPlan {
     Status error;
     bool sticky;
     std::string file_substr;
+    uint64_t seen;  // matching ops counted so far
     bool spent = false;
   };
 
+  uint64_t CountLocked(FaultOp op, const std::string& file_substr) const;
+
   mutable std::mutex mu_;
-  uint64_t counts_[3] = {0, 0, 0};
+  std::map<std::string, std::array<uint64_t, 3>> counts_;  // per file
   std::vector<Rule> rules_;
   TearSpec tear_;
   bool recording_ = false;

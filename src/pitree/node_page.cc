@@ -24,6 +24,7 @@ constexpr size_t kOffHighKeyLen = 34;
 constexpr size_t kOffBoundFlags = 36;
 constexpr size_t kSlotDirStart = 40;
 constexpr size_t kSlotBytes = 4;
+static_assert(NodeView::kMaxSlots == (kPageSize - kSlotDirStart) / kSlotBytes);
 
 size_t CellSize(size_t klen, size_t vlen) {
   auto varlen = [](size_t n) { return n < 128 ? 1u : (n < 16384 ? 2u : 3u); };
@@ -55,117 +56,173 @@ bool DecodeIndexTerm(Slice value, IndexTerm* term) {
   return true;
 }
 
-uint8_t NodeRef::level() const { return static_cast<uint8_t>(p_[kOffLevel]); }
-uint8_t NodeRef::nflags() const {
-  return static_cast<uint8_t>(p_[kOffNFlags]);
+namespace {
+
+// One load of a little-endian field of a page that may be changing under
+// the reader. A volatile load happens exactly once, so the compiler cannot
+// load the field again between a check and the use of the checked value.
+uint8_t Load8(const char* p) {
+  return *reinterpret_cast<const volatile uint8_t*>(p);
 }
-void NodeRef::set_nflags(uint8_t f) { p_[kOffNFlags] = static_cast<char>(f); }
-uint16_t NodeRef::entry_count() const { return nslots(); }
-PageId NodeRef::right_sibling() const {
-  return DecodeFixed32(p_ + kOffRightSibling);
-}
-uint8_t NodeRef::bound_flags() const {
-  return static_cast<uint8_t>(p_[kOffBoundFlags]);
-}
-Slice NodeRef::low_key() const {
-  return Slice(p_ + DecodeFixed16(p_ + kOffLowKeyOff),
-               DecodeFixed16(p_ + kOffLowKeyLen));
-}
-Slice NodeRef::high_key() const {
-  return Slice(p_ + DecodeFixed16(p_ + kOffHighKeyOff),
-               DecodeFixed16(p_ + kOffHighKeyLen));
+uint16_t Load16(const char* p) {
+  return static_cast<uint16_t>(Load8(p) | Load8(p + 1) << 8);
 }
 
-bool NodeRef::AtOrAboveLow(const Slice& key) const {
+}  // namespace
+
+uint8_t NodeView::level() const { return Load8(p_ + kOffLevel); }
+uint8_t NodeView::nflags() const { return Load8(p_ + kOffNFlags); }
+void NodeRef::set_nflags(uint8_t f) { w_[kOffNFlags] = static_cast<char>(f); }
+PageId NodeView::right_sibling() const {
+  return DecodeFixed32(p_ + kOffRightSibling);
+}
+uint8_t NodeView::bound_flags() const { return Load8(p_ + kOffBoundFlags); }
+
+Slice NodeView::Bound(size_t off_field, size_t len_field) const {
+  const uint16_t off = Load16(p_ + off_field);
+  const uint16_t len = Load16(p_ + len_field);
+  if (off > kPageSize || len > kPageSize - off) {
+    Fail();
+    return Slice();
+  }
+  return Slice(p_ + off, len);
+}
+Slice NodeView::low_key() const { return Bound(kOffLowKeyOff, kOffLowKeyLen); }
+Slice NodeView::high_key() const {
+  return Bound(kOffHighKeyOff, kOffHighKeyLen);
+}
+
+bool NodeView::AtOrAboveLow(const Slice& key) const {
   return low_is_neg_inf() || key.compare(low_key()) >= 0;
 }
-bool NodeRef::BelowHigh(const Slice& key) const {
+bool NodeView::BelowHigh(const Slice& key) const {
   return high_is_pos_inf() || key.compare(high_key()) < 0;
 }
 
-uint16_t NodeRef::nslots() const { return DecodeFixed16(p_ + kOffNSlots); }
-uint16_t NodeRef::heap_top() const { return DecodeFixed16(p_ + kOffHeapTop); }
-uint16_t NodeRef::frag() const { return DecodeFixed16(p_ + kOffFrag); }
-void NodeRef::set_nslots(uint16_t v) { EncodeFixed16(p_ + kOffNSlots, v); }
-void NodeRef::set_heap_top(uint16_t v) { EncodeFixed16(p_ + kOffHeapTop, v); }
-void NodeRef::set_frag(uint16_t v) { EncodeFixed16(p_ + kOffFrag, v); }
-
-uint16_t NodeRef::slot_off(int i) const {
-  return DecodeFixed16(p_ + kSlotDirStart + i * kSlotBytes);
+uint16_t NodeView::nslots() const {
+  const uint16_t n = Load16(p_ + kOffNSlots);
+  if (n > kMaxSlots) {
+    Fail();
+    return 0;
+  }
+  return n;
 }
-uint16_t NodeRef::slot_len(int i) const {
+uint16_t NodeView::heap_top() const { return DecodeFixed16(p_ + kOffHeapTop); }
+uint16_t NodeView::frag() const { return DecodeFixed16(p_ + kOffFrag); }
+void NodeRef::set_nslots(uint16_t v) { EncodeFixed16(w_ + kOffNSlots, v); }
+void NodeRef::set_heap_top(uint16_t v) { EncodeFixed16(w_ + kOffHeapTop, v); }
+void NodeRef::set_frag(uint16_t v) { EncodeFixed16(w_ + kOffFrag, v); }
+
+uint16_t NodeView::slot_off(int i) const {
+  if (static_cast<size_t>(i) >= kMaxSlots) return 0;
+  return Load16(p_ + kSlotDirStart + i * kSlotBytes);
+}
+uint16_t NodeView::slot_len(int i) const {
+  // Only ever summed or compared, never used to address the page.
   return DecodeFixed16(p_ + kSlotDirStart + i * kSlotBytes + 2);
 }
 void NodeRef::set_slot(int i, uint16_t off, uint16_t len) {
-  EncodeFixed16(p_ + kSlotDirStart + i * kSlotBytes, off);
-  EncodeFixed16(p_ + kSlotDirStart + i * kSlotBytes + 2, len);
+  EncodeFixed16(w_ + kSlotDirStart + i * kSlotBytes, off);
+  EncodeFixed16(w_ + kSlotDirStart + i * kSlotBytes + 2, len);
 }
 
-void NodeRef::ParseCell(uint16_t off, Slice* key, Slice* value) const {
-  Slice in(p_ + off, kPageSize - off);
+bool NodeView::ParseCell(uint16_t off, Slice* key, Slice* value) const {
+  // A varint within the page; no length on a page needs more than 5 bytes.
+  size_t pos = off;
+  auto varint = [&](uint32_t* out) {
+    uint32_t v = 0;
+    for (int shift = 0; shift <= 28 && pos < kPageSize; shift += 7) {
+      const uint32_t byte = Load8(p_ + pos++);
+      v |= (byte & 0x7f) << shift;
+      if ((byte & 0x80) == 0) {
+        *out = v;
+        return true;
+      }
+    }
+    return false;
+  };
   uint32_t klen = 0;
-  GetVarint32(&in, &klen);
-  *key = Slice(in.data(), klen);
-  in.remove_prefix(klen);
   uint32_t vlen = 0;
-  GetVarint32(&in, &vlen);
-  *value = Slice(in.data(), vlen);
+  if (pos < kSlotDirStart || !varint(&klen) || klen > kPageSize - pos) {
+    Fail();
+    *key = Slice();
+    if (value != nullptr) *value = Slice();
+    return false;
+  }
+  *key = Slice(p_ + pos, klen);
+  if (value == nullptr) return true;
+  pos += klen;
+  if (!varint(&vlen) || vlen > kPageSize - pos) {
+    Fail();
+    *value = Slice();
+    return false;
+  }
+  *value = Slice(p_ + pos, vlen);
+  return true;
 }
 
-Slice NodeRef::EntryKey(int i) const {
-  Slice k, v;
-  ParseCell(slot_off(i), &k, &v);
+Slice NodeView::EntryKey(int i) const {
+  Slice k;
+  ParseCell(slot_off(i), &k, nullptr);
   return k;
 }
 
-Slice NodeRef::EntryValue(int i) const {
+Slice NodeView::EntryValue(int i) const {
   Slice k, v;
   ParseCell(slot_off(i), &k, &v);
   return v;
 }
 
-int NodeRef::FindSlot(const Slice& key, bool* found) const {
-  int lo = 0, hi = nslots();
+int NodeView::FindSlot(const Slice& key, bool* found) const {
+  const int n = nslots();
+  int lo = 0, hi = n;
+  bool hi_equal = false;  // the entry at `hi` (if any) equals `key`
   while (lo < hi) {
     int mid = (lo + hi) / 2;
-    if (EntryKey(mid).compare(key) < 0) {
+    const int c = EntryKey(mid).compare(key);
+    if (c < 0) {
       lo = mid + 1;
     } else {
       hi = mid;
+      hi_equal = c == 0;
     }
   }
-  *found = lo < nslots() && EntryKey(lo) == key;
+  *found = lo < n && hi_equal;
   return lo;
 }
 
-int NodeRef::FindChildSlot(const Slice& key) const {
+int NodeView::FindChildSlot(const Slice& key) const {
   bool found;
   int slot = FindSlot(key, &found);
   if (found) return slot;
   return slot - 1;  // rightmost entry with entry_key < key
 }
 
-std::vector<NodeEntry> NodeRef::AllEntries() const {
+std::vector<NodeEntry> NodeView::AllEntries() const {
+  const int n = nslots();
   std::vector<NodeEntry> out;
-  out.reserve(nslots());
-  for (int i = 0; i < nslots(); ++i) {
-    out.push_back({EntryKey(i).ToString(), EntryValue(i).ToString()});
+  out.reserve(n);
+  for (int i = 0; i < n; ++i) {
+    Slice k, v;
+    ParseCell(slot_off(i), &k, &v);
+    out.push_back({k.ToString(), v.ToString()});
   }
   return out;
 }
 
-size_t NodeRef::FreeSpace() const {
+size_t NodeView::FreeSpace() const {
   size_t slots_end = kSlotDirStart + nslots() * kSlotBytes;
   return (heap_top() - slots_end) + frag();
 }
 
-bool NodeRef::CanFit(size_t key_size, size_t value_size) const {
+bool NodeView::CanFit(size_t key_size, size_t value_size) const {
   return FreeSpace() >= CellSize(key_size, value_size) + kSlotBytes;
 }
 
-size_t NodeRef::UsedCellBytes() const {
+size_t NodeView::UsedCellBytes() const {
+  const int n = nslots();
   size_t used = 0;
-  for (int i = 0; i < nslots(); ++i) used += slot_len(i);
+  for (int i = 0; i < n; ++i) used += slot_len(i);
   return used;
 }
 
@@ -192,24 +249,24 @@ void NodeRef::Compact() {
   size_t top = kPageSize;
   auto place_raw = [&](const char* data, size_t n) {
     top -= n;
-    memcpy(p_ + top, data, n);
+    memcpy(w_ + top, data, n);
     return static_cast<uint16_t>(top);
   };
 
   if (has_low) {
     uint16_t off = place_raw(low.data(), low.size());
-    EncodeFixed16(p_ + kOffLowKeyOff, off);
-    EncodeFixed16(p_ + kOffLowKeyLen, static_cast<uint16_t>(low.size()));
+    EncodeFixed16(w_ + kOffLowKeyOff, off);
+    EncodeFixed16(w_ + kOffLowKeyLen, static_cast<uint16_t>(low.size()));
   }
   if (has_high) {
     uint16_t off = place_raw(high.data(), high.size());
-    EncodeFixed16(p_ + kOffHighKeyOff, off);
-    EncodeFixed16(p_ + kOffHighKeyLen, static_cast<uint16_t>(high.size()));
+    EncodeFixed16(w_ + kOffHighKeyOff, off);
+    EncodeFixed16(w_ + kOffHighKeyLen, static_cast<uint16_t>(high.size()));
   }
   for (size_t i = 0; i < entries.size(); ++i) {
     size_t csz = CellSize(entries[i].key.size(), entries[i].value.size());
     top -= csz;
-    WriteCell(p_ + top, entries[i].key, entries[i].value);
+    WriteCell(w_ + top, entries[i].key, entries[i].value);
     set_slot(static_cast<int>(i), static_cast<uint16_t>(top),
              static_cast<uint16_t>(csz));
   }
@@ -221,11 +278,11 @@ bool NodeRef::InsertAt(int slot, const Slice& key, const Slice& value) {
   size_t csz = CellSize(key.size(), value.size());
   uint16_t off = AllocCell(csz, kSlotBytes);
   if (off == 0) return false;
-  WriteCell(p_ + off, key, value);
+  WriteCell(w_ + off, key, value);
   // Shift the slot directory open.
   int n = nslots();
-  memmove(p_ + kSlotDirStart + (slot + 1) * kSlotBytes,
-          p_ + kSlotDirStart + slot * kSlotBytes, (n - slot) * kSlotBytes);
+  memmove(w_ + kSlotDirStart + (slot + 1) * kSlotBytes,
+          w_ + kSlotDirStart + slot * kSlotBytes, (n - slot) * kSlotBytes);
   set_slot(slot, off, static_cast<uint16_t>(csz));
   set_nslots(static_cast<uint16_t>(n + 1));
   return true;
@@ -234,8 +291,8 @@ bool NodeRef::InsertAt(int slot, const Slice& key, const Slice& value) {
 void NodeRef::DeleteAt(int slot) {
   int n = nslots();
   set_frag(static_cast<uint16_t>(frag() + slot_len(slot)));
-  memmove(p_ + kSlotDirStart + slot * kSlotBytes,
-          p_ + kSlotDirStart + (slot + 1) * kSlotBytes,
+  memmove(w_ + kSlotDirStart + slot * kSlotBytes,
+          w_ + kSlotDirStart + (slot + 1) * kSlotBytes,
           (n - slot - 1) * kSlotBytes);
   set_nslots(static_cast<uint16_t>(n - 1));
 }
@@ -247,24 +304,24 @@ bool NodeRef::SetBoundary(bool low, const Slice& key, bool inf) {
   const uint8_t inf_bit = low ? kBoundLowNegInf : kBoundHighPosInf;
   // Retire the old boundary cell.
   if (!(bf & inf_bit)) {
-    set_frag(static_cast<uint16_t>(frag() + DecodeFixed16(p_ + len_field)));
+    set_frag(static_cast<uint16_t>(frag() + DecodeFixed16(w_ + len_field)));
   }
   if (inf) {
     bf |= inf_bit;
-    EncodeFixed16(p_ + off_field, 0);
-    EncodeFixed16(p_ + len_field, 0);
+    EncodeFixed16(w_ + off_field, 0);
+    EncodeFixed16(w_ + len_field, 0);
   } else {
     bf &= static_cast<uint8_t>(~inf_bit);
     // Must clear the stale offset before AllocCell may Compact(), or the
     // compactor would try to preserve the retired boundary bytes.
-    p_[kOffBoundFlags] = static_cast<char>(bf);
+    w_[kOffBoundFlags] = static_cast<char>(bf);
     uint16_t off = key.empty() ? kPageSize - 1 : AllocCell(key.size(), 0);
     if (off == 0) return false;
-    if (!key.empty()) memcpy(p_ + off, key.data(), key.size());
-    EncodeFixed16(p_ + off_field, off);
-    EncodeFixed16(p_ + len_field, static_cast<uint16_t>(key.size()));
+    if (!key.empty()) memcpy(w_ + off, key.data(), key.size());
+    EncodeFixed16(w_ + off_field, off);
+    EncodeFixed16(w_ + len_field, static_cast<uint16_t>(key.size()));
   }
-  p_[kOffBoundFlags] = static_cast<char>(bf);
+  w_[kOffBoundFlags] = static_cast<char>(bf);
   return true;
 }
 
@@ -328,11 +385,11 @@ std::string NodeRef::BulkErasePayload(const std::vector<NodeEntry>& entries) {
   return out;
 }
 
-std::string NodeRef::MetaPayload() const {
-  return MetaPayload(level(), nflags(), bound_flags(),
-                     low_is_neg_inf() ? Slice() : low_key(),
-                     high_is_pos_inf() ? Slice() : high_key(),
-                     right_sibling());
+std::string NodeView::MetaPayload() const {
+  return NodeRef::MetaPayload(level(), nflags(), bound_flags(),
+                              low_is_neg_inf() ? Slice() : low_key(),
+                              high_is_pos_inf() ? Slice() : high_key(),
+                              right_sibling());
 }
 
 std::string NodeRef::MetaPayload(uint8_t level, uint8_t nflags,
@@ -342,21 +399,23 @@ std::string NodeRef::MetaPayload(uint8_t level, uint8_t nflags,
   return FormatPayload(level, nflags, bound_flags, low, high, right_sibling);
 }
 
-std::string NodeRef::ImagePayload() const {
+std::string NodeView::ImagePayload() const {
   return std::string(p_ + kPageHeaderSize, kPageSize - kPageHeaderSize);
 }
 
-std::vector<NodeEntry> NodeRef::EntriesFrom(const Slice& split_key) const {
+std::vector<NodeEntry> NodeView::EntriesFrom(const Slice& split_key) const {
   std::vector<NodeEntry> out;
   bool found;
-  int start = FindSlot(split_key, &found);
-  for (int i = start; i < nslots(); ++i) {
-    out.push_back({EntryKey(i).ToString(), EntryValue(i).ToString()});
+  const int n = nslots();
+  for (int i = FindSlot(split_key, &found); i < n; ++i) {
+    Slice k, v;
+    ParseCell(slot_off(i), &k, &v);
+    out.push_back({k.ToString(), v.ToString()});
   }
   return out;
 }
 
-Slice NodeRef::MedianKey() const { return EntryKey(nslots() / 2); }
+Slice NodeView::MedianKey() const { return EntryKey(nslots() / 2); }
 
 // ---------------------------------------------------------------------------
 // Redo application
@@ -391,17 +450,17 @@ Status NodeRef::ApplyFormat(const Slice& payload) {
   // sibling from the source's own key bytes is NOT done — payloads are
   // separate strings — but re-format of a resident page could alias).
   std::string low = m.low.ToString(), high = m.high.ToString();
-  PageId self = PageGetId(p_);
-  memset(p_ + kPageHeaderSize, 0, kPageSize - kPageHeaderSize);
-  PageSetId(p_, self);
-  PageSetType(p_, PageType::kTreeNode);
-  p_[kOffLevel] = static_cast<char>(m.level);
-  p_[kOffNFlags] = static_cast<char>(m.nflags);
+  PageId self = PageGetId(w_);
+  memset(w_ + kPageHeaderSize, 0, kPageSize - kPageHeaderSize);
+  PageSetId(w_, self);
+  PageSetType(w_, PageType::kTreeNode);
+  w_[kOffLevel] = static_cast<char>(m.level);
+  w_[kOffNFlags] = static_cast<char>(m.nflags);
   set_nslots(0);
   set_heap_top(kPageSize);
   set_frag(0);
-  EncodeFixed32(p_ + kOffRightSibling, m.right);
-  p_[kOffBoundFlags] =
+  EncodeFixed32(w_ + kOffRightSibling, m.right);
+  w_[kOffBoundFlags] =
       static_cast<char>(kBoundLowNegInf | kBoundHighPosInf);
   if (!(m.bound_flags & kBoundLowNegInf)) {
     if (!SetBoundary(true, low, false)) return Status::NoSpace("low key");
@@ -474,7 +533,7 @@ Status NodeRef::ApplySplit(const Slice& payload) {
   while (nslots() > start) DeleteAt(nslots() - 1);
   // Install the sibling term: high key = split key, side pointer = sibling.
   if (!SetBoundary(false, skey, false)) return Status::NoSpace("split high");
-  EncodeFixed32(p_ + kOffRightSibling, new_sibling);
+  EncodeFixed32(w_ + kOffRightSibling, new_sibling);
   return Status::OK();
 }
 
@@ -517,9 +576,9 @@ Status NodeRef::ApplySetMeta(const Slice& payload) {
   MetaFields m;
   if (!ParseMeta(payload, &m)) return Status::Corruption("node meta payload");
   std::string low = m.low.ToString(), high = m.high.ToString();
-  p_[kOffLevel] = static_cast<char>(m.level);
-  p_[kOffNFlags] = static_cast<char>(m.nflags);
-  EncodeFixed32(p_ + kOffRightSibling, m.right);
+  w_[kOffLevel] = static_cast<char>(m.level);
+  w_[kOffNFlags] = static_cast<char>(m.nflags);
+  EncodeFixed32(w_ + kOffRightSibling, m.right);
   if (!SetBoundary(true, low, m.bound_flags & kBoundLowNegInf)) {
     return Status::NoSpace("meta low");
   }
@@ -533,8 +592,8 @@ Status NodeRef::ApplyImage(const Slice& payload) {
   if (payload.size() != kPageSize - kPageHeaderSize) {
     return Status::Corruption("node image payload size");
   }
-  memcpy(p_ + kPageHeaderSize, payload.data(), payload.size());
-  PageSetType(p_, PageType::kTreeNode);
+  memcpy(w_ + kPageHeaderSize, payload.data(), payload.size());
+  PageSetType(w_, PageType::kTreeNode);
   return Status::OK();
 }
 

@@ -41,7 +41,7 @@ struct IndexTerm {
 std::string EncodeIndexTerm(PageId child, uint8_t flags = 0);
 bool DecodeIndexTerm(Slice value, IndexTerm* term);
 
-/// Accessor/mutator view over one kTreeNode page image.
+/// Read side of one kTreeNode page image, and the one parser of its layout.
 ///
 /// Layout after the 16-byte common header:
 ///   off 16  uint8   level (0 = leaf)
@@ -61,19 +61,32 @@ bool DecodeIndexTerm(Slice value, IndexTerm* term);
 ///           [varint klen][key][varint vlen][value]
 ///
 /// Slots are kept sorted by key; lookups binary-search the directory.
-/// NodeRef performs no latching, logging, or pinning — callers own all three.
-class NodeRef {
+///
+/// Safe on a torn image. The optimistic descent (DESIGN.md §15) searches a
+/// frame in place while a writer may be changing it, so every count, offset
+/// and length is loaded once into a local, checked against the page, and
+/// used only as checked: no read leaves the page, and a search ends within
+/// log2(kMaxSlots) + 1 steps. A failed check yields an empty key, value or
+/// bound and clears ok(); the optimistic reader treats that like a failed
+/// validation. On a well-formed page, which is all a latched reader ever
+/// sees, every check passes.
+class NodeView {
  public:
-  explicit NodeRef(char* page) : p_(page) {}
+  /// Most slots a page's directory can hold.
+  static constexpr size_t kMaxSlots = (kPageSize - 40) / 4;
+
+  explicit NodeView(const char* page) : p_(page) {}
+
+  /// False once a check has failed: the image is torn or corrupt.
+  bool ok() const { return ok_; }
 
   // -- header accessors ------------------------------------------------
   uint8_t level() const;
   bool is_leaf() const { return level() == 0; }
   uint8_t nflags() const;
-  void set_nflags(uint8_t f);
   bool is_root() const { return nflags() & kNodeFlagRoot; }
   bool is_deallocated() const { return nflags() & kNodeFlagDeallocated; }
-  uint16_t entry_count() const;
+  uint16_t entry_count() const { return nslots(); }
   PageId right_sibling() const;
   uint8_t bound_flags() const;
   bool low_is_neg_inf() const { return bound_flags() & kBoundLowNegInf; }
@@ -113,6 +126,46 @@ class NodeRef {
   /// Bytes of cell payload currently live (utilization numerator).
   size_t UsedCellBytes() const;
 
+  std::string MetaPayload() const;   // snapshot of current meta (for undo)
+  std::string ImagePayload() const;  // full content snapshot (for undo)
+
+  /// Entries at or above `split_key` — what a split delegates (§3.2.1).
+  std::vector<NodeEntry> EntriesFrom(const Slice& split_key) const;
+
+  /// Key of the median slot — the usual split point.
+  Slice MedianKey() const;
+
+  const char* raw() const { return p_; }
+
+ protected:
+  uint16_t nslots() const;
+  uint16_t heap_top() const;
+  uint16_t frag() const;
+  uint16_t slot_len(int i) const;
+  /// Offset of slot i's cell, or 0 (which no cell has) past the directory.
+  uint16_t slot_off(int i) const;
+
+  /// Parses the cell at `off`; `value` may be null when only the key is
+  /// wanted. False (and ok() cleared) when the cell leaves the page.
+  bool ParseCell(uint16_t off, Slice* key, Slice* value) const;
+
+  const char* p_;
+
+ private:
+  Slice Bound(size_t off_field, size_t len_field) const;
+  void Fail() const { ok_ = false; }
+
+  mutable bool ok_ = true;
+};
+
+/// Mutator view over one kTreeNode page image. NodeRef performs no latching,
+/// logging, or pinning — callers own all three.
+class NodeRef : public NodeView {
+ public:
+  explicit NodeRef(char* page) : NodeView(page), w_(page) {}
+
+  void set_nflags(uint8_t f);
+
   // -- raw mutators (unlogged; callers log via PageOp payloads) -----------
   /// Each Apply* applies a PageOp redo payload deterministically; they are
   /// used both by normal operation and by recovery redo.
@@ -140,34 +193,19 @@ class NodeRef {
   static std::string SplitPayload(const Slice& split_key, PageId new_sibling);
   static std::string BulkLoadPayload(const std::vector<NodeEntry>& entries);
   static std::string BulkErasePayload(const std::vector<NodeEntry>& entries);
-  std::string MetaPayload() const;  // snapshot of current meta (for undo)
+  using NodeView::MetaPayload;
   static std::string MetaPayload(uint8_t level, uint8_t nflags,
                                  uint8_t bound_flags, const Slice& low,
                                  const Slice& high, PageId right_sibling);
-  std::string ImagePayload() const;  // full content snapshot (for undo)
 
-  /// Entries at or above `split_key` — what a split delegates (§3.2.1).
-  std::vector<NodeEntry> EntriesFrom(const Slice& split_key) const;
-
-  /// Key of the median slot — the usual split point.
-  Slice MedianKey() const;
-
-  char* raw() { return p_; }
-  const char* raw() const { return p_; }
+  using NodeView::raw;
+  char* raw() { return w_; }
 
  private:
-  uint16_t nslots() const;
-  uint16_t heap_top() const;
-  uint16_t frag() const;
   void set_nslots(uint16_t v);
   void set_heap_top(uint16_t v);
   void set_frag(uint16_t v);
-  uint16_t slot_off(int i) const;
-  uint16_t slot_len(int i) const;
   void set_slot(int i, uint16_t off, uint16_t len);
-
-  /// Parses the cell at `off`, returning key/value slices.
-  void ParseCell(uint16_t off, Slice* key, Slice* value) const;
 
   /// Allocates `n` bytes in the heap (compacting if needed); 0 on failure.
   uint16_t AllocCell(size_t n, size_t extra_slot_bytes);
@@ -176,7 +214,7 @@ class NodeRef {
   void DeleteAt(int slot);
   bool SetBoundary(bool low, const Slice& key, bool inf);
 
-  char* p_;
+  char* w_;  // p_, writable
 };
 
 /// Applies a redo payload for any kNode* op to a raw page. Used by recovery.

@@ -111,7 +111,7 @@ void PiTree::SchedulePosting(OpCtx* op, uint8_t level, PageId from,
   op->pending.push_back(std::move(job));
 }
 
-void PiTree::MaybeScheduleConsolidate(OpCtx* op, const NodeRef& node,
+void PiTree::MaybeScheduleConsolidate(OpCtx* op, const NodeView& node,
                                       PageId pid) {
   // A node whose live payload falls below this percentage of usable space
   // is a consolidation candidate (§3.3).
@@ -425,22 +425,13 @@ namespace {
 constexpr int kOptimisticRetries = 3;
 /// Hop budget per attempt (child descents + side/history hops). The latched
 /// traversal has no bound because latches guarantee progress; a validated
-/// copy chain can in principle chase a moving frontier forever.
+/// chain can in principle chase a moving frontier forever.
 constexpr int kOptimisticHopLimit = 64;
-
-/// Per-thread page-image scratch for copy-out reads. One page suffices:
-/// each hop fully consumes the previous copy (extracts the next PageId)
-/// before overwriting it with the next page.
-char* OptimisticScratch() {
-  static thread_local std::unique_ptr<char[]> buf(new char[kPageSize]);
-  return buf.get();
-}
 }  // namespace
 
 Status PiTree::TryGetOptimisticOnce(OpCtx* op, const Slice& key,
-                                    LeafRead read) {
+                                    LeafRead read, bool* retry) {
   BufferPool* pool = ctx_->pool;
-  char* buf = OptimisticScratch();
   // Side hops crossed during the descent: possibly-unposted splits whose
   // completion hints must be scheduled *after* the epoch section closes
   // (SchedulePosting probes the lock manager, a blocking mutex).
@@ -451,69 +442,65 @@ Status PiTree::TryGetOptimisticOnce(OpCtx* op, const Slice& key,
   };
   std::vector<SideHop> side_hops;
   Status result;
+  *retry = false;
   {
     EpochGuard epoch;
     if (!epoch.active()) return Status::Busy("epoch slots exhausted");
-
+    RacyReadSpan racy;
     OptimisticPage cur;
     if (!pool->FetchOptimistic(root_, &cur)) {
       return Status::Busy("root not optimistically resident");
     }
-    if (!pool->ReadConsistent(cur, buf)) {
-      return Status::Busy("root copy did not validate");
-    }
     for (int hop = 0;; ++hop) {
-      if (hop >= kOptimisticHopLimit) {
+      if (hop == kOptimisticHopLimit) {
         return Status::Busy("optimistic hop limit exceeded");
       }
-      // The copy is validated (a real page state), but the route to it may
-      // be stale; any structural surprise aborts to the latched path rather
-      // than reasoning about it latch-free.
-      if (PageGetType(buf) != PageType::kTreeNode) {
-        return Status::Busy("optimistic copy is not a tree node");
-      }
-      NodeRef node(buf);
-      if (node.is_deallocated() || !node.AtOrAboveLow(key)) {
-        return Status::Busy("optimistic copy does not cover key");
-      }
+      // Search the frame where it lies. A writer may be changing it, so
+      // nothing read here is acted on until Revalidate(cur) below proves
+      // the reads saw one state of the page; NodeView keeps every read
+      // inside the page meanwhile. Any structural surprise (or failed
+      // check) abandons the attempt rather than reasoning about it.
+      NodeView node(pool->InPlace(cur));
       PageId next = kInvalidPageId;
-      if (!node.BelowHigh(key)) {
+      const bool covers = PageGetType(node.raw()) == PageType::kTreeNode &&
+                          !node.is_deallocated() && node.AtOrAboveLow(key);
+      const bool side = covers && !node.BelowHigh(key);
+      bool usable = covers;
+      if (side) {
         next = node.right_sibling();  // B-link side hop (§5.1)
-        if (next == kInvalidPageId) {
-          return Status::Busy("side chain ended before covering key");
-        }
-        stats_.side_traversals.fetch_add(1, std::memory_order_relaxed);
-        side_hops.push_back({node.level(), cur.id(), next});
-      } else if (node.is_leaf()) {
+        usable = next != kInvalidPageId;
+      } else if (covers && node.is_leaf()) {
         result = read(node, cur.id(), &next);
-        if (next == kInvalidPageId) break;
-      } else {
-        int slot = node.FindChildSlot(key);
-        if (slot < 0) return Status::Busy("no child covers key");
+      } else if (covers) {
+        const int slot = node.FindChildSlot(key);
         IndexTerm term;
-        if (!DecodeIndexTerm(node.EntryValue(slot), &term)) {
-          return Status::Busy("bad index term in optimistic copy");
-        }
+        usable = slot >= 0 && DecodeIndexTerm(node.EntryValue(slot), &term);
         next = term.child;
       }
+      usable = usable && node.ok();
+      const uint8_t level = node.level();
+      // Version coupling: the next page's window opens before this one's
+      // closes, so if the pointer followed is still current the windows
+      // overlap and the chain of validated states is connected.
       OptimisticPage nxt;
-      if (!pool->FetchOptimistic(next, &nxt)) {
+      const bool resident = usable && next != kInvalidPageId &&
+                            pool->FetchOptimistic(next, &nxt);
+      if (!pool->Revalidate(cur) || !usable) {
+        *retry = true;
+        return Status::Busy("page changed under its optimistic reader");
+      }
+      if (next == kInvalidPageId) break;  // the leaf's answer, validated
+      if (!resident) {
         return Status::Busy("next page not optimistically resident");
       }
-      // Version coupling: the next page's window is open; if the pointer we
-      // followed is still current, the windows overlap and the chain of
-      // validated states is connected.
-      if (!pool->Revalidate(cur)) {
-        return Status::Busy("page changed while following its pointer");
-      }
-      if (!pool->ReadConsistent(nxt, buf)) {
-        return Status::Busy("next page copy did not validate");
-      }
+      if (side) side_hops.push_back({level, cur.id(), next});
       cur = nxt;
     }
   }
   // Epoch closed: schedule the postings a latched traversal would have for
   // the side pointers it crossed (§5.1).
+  stats_.side_traversals.fetch_add(side_hops.size(),
+                                   std::memory_order_relaxed);
   for (const SideHop& h : side_hops) {
     SchedulePosting(op, h.level, h.from, h.sibling, key);
   }
@@ -522,11 +509,13 @@ Status PiTree::TryGetOptimisticOnce(OpCtx* op, const Slice& key,
 
 Status PiTree::GetOptimistic(OpCtx* op, const Slice& key, LeafRead read) {
   for (int attempt = 0; attempt < kOptimisticRetries; ++attempt) {
-    Status s = TryGetOptimisticOnce(op, key, read);
+    bool retry = false;
+    Status s = TryGetOptimisticOnce(op, key, read, &retry);
     if (!s.IsBusy()) {
-      stats_.optimistic_gets.fetch_add(1, std::memory_order_relaxed);
+      stats_.optimistic_gets.Add();
       return s;
     }
+    if (!retry) return s;
   }
   return Status::Busy("optimistic descent did not settle");
 }
@@ -555,14 +544,19 @@ Status PiTree::Get(Transaction* txn, const Slice& key, std::string* value)
       PITREE_RETURN_IF_ERROR(ctx_->locks->Lock(
           txn, RecordLockName(root_, key), LockMode::kS, /*wait=*/true));
     }
-    // The leaf copy is validated; a consolidation hint for it (§3.3) only
-    // queues a job, so it may be taken inside the epoch section.
-    auto read = [&](const NodeRef& leaf, PageId page, PageId*) {
+    // The read runs on the frame before the leaf validates. The core
+    // discards its answer unless the leaf validates, and so does this
+    // function with the leaf's consolidation hint (§3.3): nothing else
+    // enters `op.pending` inside the epoch section, so it holds only the
+    // hint of the latest leaf read.
+    auto read = [&](const NodeView& leaf, PageId page, PageId*) {
+      op.pending.clear();
       MaybeScheduleConsolidate(&op, leaf, page);
       bool found = false;
-      int slot = leaf.FindSlot(key, &found);
+      const int slot = leaf.FindSlot(key, &found);
       if (!found) return Status::NotFound("key absent");
-      *value = leaf.EntryValue(slot).ToString();
+      const Slice v = leaf.EntryValue(slot);
+      value->assign(v.data(), v.size());
       return Status::OK();
     };
     Status s = GetOptimistic(&op, key, read);
@@ -570,7 +564,8 @@ Status PiTree::Get(Transaction* txn, const Slice& key, std::string* value)
       FlushPending(&op);
       return s;
     }
-    stats_.optimistic_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    op.pending.clear();  // a hint from a leaf that did not validate
+    stats_.optimistic_fallbacks.Add();
   }
   Status result;
   for (;;) {

@@ -12,6 +12,7 @@
 #include "common/options.h"
 #include "common/slice.h"
 #include "common/status.h"
+#include "common/striped_counter.h"
 #include "common/types.h"
 #include "engine/engine_context.h"
 #include "pitree/completion.h"
@@ -22,7 +23,9 @@
 
 namespace pitree {
 
-/// Operation counters exposed for the experiments.
+/// Operation counters exposed for the experiments. The optimistic Get's
+/// counters are striped per thread: that path writes no line another core
+/// writes (DESIGN.md §15).
 struct PiTreeStats {
   std::atomic<uint64_t> side_traversals{0};
   std::atomic<uint64_t> splits{0};
@@ -36,8 +39,8 @@ struct PiTreeStats {
   std::atomic<uint64_t> saved_path_hits{0};
   std::atomic<uint64_t> saved_path_misses{0};
   std::atomic<uint64_t> in_txn_splits{0};   // page-oriented-undo mode (§4.2)
-  std::atomic<uint64_t> optimistic_gets{0};       // latch-free Get successes
-  std::atomic<uint64_t> optimistic_fallbacks{0};  // Busy -> latched descent
+  StripedCounter optimistic_gets;       // latch-free Get successes
+  StripedCounter optimistic_fallbacks;  // Busy -> latched descent
 };
 
 /// The Π-tree (paper §2), instantiated as a B-link search structure:
@@ -193,36 +196,43 @@ class PiTree {
                    PageHandle* cur);
 
   /// Notes an under-utilized node for consolidation (CP regime only).
-  void MaybeScheduleConsolidate(OpCtx* op, const NodeRef& node, PageId pid);
+  void MaybeScheduleConsolidate(OpCtx* op, const NodeView& node, PageId pid);
 
   /// Schedules the completion of an unposted split detected at `from` ->
   /// `sibling` (skipped when a move lock covers `from`, §4.2.2).
   void SchedulePosting(OpCtx* op, uint8_t level, PageId from, PageId sibling,
                        const Slice& key);
 
-  /// Reads a lookup's answer out of a validated copy of a level-0 node that
-  /// covers the key (`page` is its id). To continue on another page — the
-  /// TSB-tree's history hop — it sets `*next`, which starts out invalid.
-  /// Runs inside the epoch section: it must not block.
+  /// Reads a lookup's answer out of a level-0 node that covers the key
+  /// (`page` is its id), in place in its frame. To continue on another
+  /// page — the TSB-tree's history hop — it sets `*next`, which starts out
+  /// invalid. The frame may be torn: the core follows `*next` and returns
+  /// the answer only once the node validates, and discards both otherwise
+  /// (so what the read writes for its caller is valid only then). Runs
+  /// inside the epoch section: it must not block.
   using LeafRead =
-      FunctionRef<Status(const NodeRef& node, PageId page, PageId* next)>;
+      FunctionRef<Status(const NodeView& node, PageId page, PageId* next)>;
 
-  /// Latch-free point lookup (DESIGN.md §15): bounded retries of
-  /// TryGetOptimisticOnce. Returns Busy when the optimistic regime cannot
-  /// settle (torn copy, structural motion, cold page, epoch slots
-  /// exhausted); the caller falls back to the latched descent. A caller
-  /// reading 2PL data must already hold the S record lock (lock-first 2PL),
-  /// so a successful copy-out returns lock-stable committed data.
+  /// Latch-free point lookup (DESIGN.md §15): TryGetOptimisticOnce, retried
+  /// a bounded number of times while attempts fail validation. Returns Busy
+  /// when the optimistic regime cannot settle (a frame changed under every
+  /// attempt, a page not resident, epoch slots exhausted); the caller falls
+  /// back to the latched descent. A caller reading 2PL data must already
+  /// hold the S record lock (lock-first 2PL), so a validated answer is
+  /// lock-stable committed data.
   Status GetOptimistic(OpCtx* op, const Slice& key, LeafRead read);
 
-  /// One epoch-guarded version-validated descent: root to the leaf covering
-  /// `key` via consistent page copies, coupling each hop by revalidating the
-  /// previous page's version after the next one's optimistic fetch begins,
-  /// then `read` on the leaf and on every page it hops to. Never latches,
-  /// pins, or blocks inside the epoch section; postings for side pointers
-  /// crossed along the way (§5.1) are appended to `op->pending` after the
-  /// section closes.
-  Status TryGetOptimisticOnce(OpCtx* op, const Slice& key, LeafRead read);
+  /// One epoch-guarded descent that searches each frame in place: root to
+  /// the leaf covering `key`, then `read` on the leaf and on every page it
+  /// hops to. Each hop opens the next page's window before revalidating
+  /// the page its pointer came from, and the leaf revalidates before its
+  /// answer counts. Never latches, pins, or blocks inside the epoch
+  /// section; postings for side pointers crossed along the way (§5.1) are
+  /// appended to `op->pending` after the section closes. On Busy, `*retry`
+  /// says whether a frame changed under the attempt (another may settle)
+  /// or a page was not resident (only the latched path can read it in).
+  Status TryGetOptimisticOnce(OpCtx* op, const Slice& key, LeafRead read,
+                              bool* retry);
 
   /// Acquires a record lock under the No-Wait Rule (§4.1.2): try while
   /// latched; on conflict release the leaf latch, wait, re-latch and

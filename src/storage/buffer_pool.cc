@@ -51,10 +51,9 @@ char* FlushScratch() {
 // latched hit) and a lookup gives up (false negative, latched path).
 constexpr size_t kOptIndexMaxProbe = 8;
 
-// TSan: the optimistic copy-out in ReadConsistent deliberately reads frame
-// bytes that a concurrent X holder may be writing — seqlock discipline; a
-// torn copy is discarded when the version-word validate fails. Suppress
-// the (intentional) race report for exactly that memcpy.
+// The optimistic path's reads race an X holder's writes by design
+// (seqlock discipline). Under ThreadSanitizer, RacyReadSpan suppresses the
+// intentional race reports for exactly those reads.
 #if defined(__SANITIZE_THREAD__)
 #define PITREE_TSAN_ACTIVE 1
 #elif defined(__has_feature)
@@ -66,16 +65,17 @@ constexpr size_t kOptIndexMaxProbe = 8;
 #if defined(PITREE_TSAN_ACTIVE)
 extern "C" void AnnotateIgnoreReadsBegin(const char* file, int line);
 extern "C" void AnnotateIgnoreReadsEnd(const char* file, int line);
-inline void TsanIgnoreReadsBegin() {
-  AnnotateIgnoreReadsBegin(__FILE__, __LINE__);
-}
-inline void TsanIgnoreReadsEnd() { AnnotateIgnoreReadsEnd(__FILE__, __LINE__); }
-#else
-inline void TsanIgnoreReadsBegin() {}
-inline void TsanIgnoreReadsEnd() {}
 #endif
 
 }  // namespace
+
+#if defined(PITREE_TSAN_ACTIVE)
+RacyReadSpan::RacyReadSpan() { AnnotateIgnoreReadsBegin(__FILE__, __LINE__); }
+RacyReadSpan::~RacyReadSpan() { AnnotateIgnoreReadsEnd(__FILE__, __LINE__); }
+#else
+RacyReadSpan::RacyReadSpan() {}
+RacyReadSpan::~RacyReadSpan() {}
+#endif
 
 // The §4.1 checker (src/analysis/) tracks shard-mutex ownership at rank
 // kPoolShard via the ranked Mutex itself (common/mutex.h runs the
@@ -266,14 +266,13 @@ Status BufferPool::FetchPageZeroed(PageId id, PageHandle* handle) {
 bool BufferPool::FetchOptimistic(PageId id, OptimisticPage* out) {
   assert(id != kInvalidPageId);
   out->frame_ = nullptr;
-  Shard& shard = *shards_[ShardOf(id)];
   if (!EpochManager::Global()->InEpoch()) {
-    shard.stats.opt_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    opt_fallbacks_.Add();
     return false;
   }
-  const uint64_t entry = OptIndexLookup(shard, id);
+  const uint64_t entry = OptIndexLookup(*shards_[ShardOf(id)], id);
   if (entry == 0) {
-    shard.stats.opt_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    opt_fallbacks_.Add();
     return false;
   }
   const Frame& f = *frames_[static_cast<size_t>(entry & 0xFFFFFFFFu)];
@@ -285,7 +284,7 @@ bool BufferPool::FetchOptimistic(PageId id, OptimisticPage* out) {
   // catches it.
   if (Latch::IsLocked(v) ||
       f.published.load(std::memory_order_acquire) != id) {
-    shard.stats.opt_fallbacks.fetch_add(1, std::memory_order_relaxed);
+    opt_fallbacks_.Add();
     return false;
   }
   out->frame_ = &f;
@@ -294,44 +293,46 @@ bool BufferPool::FetchOptimistic(PageId id, OptimisticPage* out) {
   return true;
 }
 
-bool BufferPool::ReadConsistent(const OptimisticPage& page, char* dst) {
-  return ReadConsistent(page, dst, 0, kPageSize);
+const char* BufferPool::InPlace(const OptimisticPage& page) {
+  assert(page.valid());
+  assert(EpochManager::Global()->InEpoch());
+  const Frame& f = *static_cast<const Frame*>(page.frame_);
+  // The epoch section guarantees the frame still holds *some* page (not
+  // recycled storage), so the reader's loads touch live memory; the
+  // Revalidate it owes decides whether they saw page `page.id()`.
+  analysis::OnOptimisticRead(&f.latch);
+  return f.data;
 }
 
 bool BufferPool::ReadConsistent(const OptimisticPage& page, char* dst,
                                 size_t offset, size_t len) {
   assert(page.valid());
   assert(offset + len <= kPageSize);
-  Frame& f = *const_cast<Frame*>(static_cast<const Frame*>(page.frame_));
   assert(EpochManager::Global()->InEpoch());
-  analysis::OnOptimisticCopy();
-  // Seqlock-style copy: may race an X-latched writer; the bytes are used
-  // only if the validate below proves no writer span overlapped. The epoch
-  // section guarantees the *frame* still holds some page (not recycled
-  // storage), so the copy itself is well-defined loads of live memory.
-  TsanIgnoreReadsBegin();
-  // lint:olc-validated -- seqlock copy, checked by the Validate below
-  memcpy(dst, f.data + offset, len);
-  TsanIgnoreReadsEnd();
-  const bool ok = f.latch.Validate(page.version_);
-  ShardCounters& stats = shards_[f.shard]->stats;
-  if (ok) {
-    stats.opt_hits.fetch_add(1, std::memory_order_relaxed);
-    // Second-chance bit, read-mostly: avoid the store (and the cacheline
-    // invalidation) when it is already set.
-    if (!f.ref.load(std::memory_order_relaxed)) {
-      f.ref.store(true, std::memory_order_relaxed);
-    }
-  } else {
-    stats.opt_fallbacks.fetch_add(1, std::memory_order_relaxed);
+  const Frame& f = *static_cast<const Frame*>(page.frame_);
+  // A copy interprets nothing it reads, so it needs no checked reader.
+  analysis::OnOptimisticRead(&f.latch);
+  {
+    RacyReadSpan racy;
+    memcpy(dst, f.data + offset, len);
   }
-  return ok;
+  return Revalidate(page);
 }
 
-bool BufferPool::Revalidate(const OptimisticPage& page) const {
+bool BufferPool::Revalidate(const OptimisticPage& page) {
   assert(page.valid());
-  const Frame& f = *static_cast<const Frame*>(page.frame_);
-  return f.latch.Validate(page.version_);
+  Frame& f = *const_cast<Frame*>(static_cast<const Frame*>(page.frame_));
+  if (!f.latch.Validate(page.version_)) {
+    opt_fallbacks_.Add();
+    return false;
+  }
+  opt_hits_.Add();
+  // Second-chance bit, read-mostly: avoid the store (and the cacheline
+  // invalidation) when it is already set.
+  if (!f.ref.load(std::memory_order_relaxed)) {
+    f.ref.store(true, std::memory_order_relaxed);
+  }
+  return true;
 }
 
 // lint:tsa-escape -- the no-wait victim probe's S hold is released by
@@ -685,8 +686,6 @@ PoolShardStats BufferPool::ShardCounters::Snapshot() const {
   s.evictions = evictions.load(std::memory_order_relaxed);
   s.flushes = flushes.load(std::memory_order_relaxed);
   s.io_waits = io_waits.load(std::memory_order_relaxed);
-  s.opt_hits = opt_hits.load(std::memory_order_relaxed);
-  s.opt_fallbacks = opt_fallbacks.load(std::memory_order_relaxed);
   s.mutex_acquires = mutex_acquires.load(std::memory_order_relaxed);
   return s;
 }
@@ -713,10 +712,10 @@ PoolStats BufferPool::Stats() const {
     out.total.evictions += s.evictions;
     out.total.flushes += s.flushes;
     out.total.io_waits += s.io_waits;
-    out.total.opt_hits += s.opt_hits;
-    out.total.opt_fallbacks += s.opt_fallbacks;
     out.total.mutex_acquires += s.mutex_acquires;
   }
+  out.total.opt_hits = opt_hits_.load();
+  out.total.opt_fallbacks = opt_fallbacks_.load();
   return out;
 }
 

@@ -11,6 +11,7 @@
 
 #include "common/mutex.h"
 #include "common/status.h"
+#include "common/striped_counter.h"
 #include "common/thread_annotations.h"
 #include "common/types.h"
 #include "storage/disk_manager.h"
@@ -63,16 +64,17 @@ class PageHandle {
 };
 
 /// Per-shard counter snapshot. Counters are maintained as relaxed atomics
-/// (so the optimistic hit path can count without the shard mutex) and
-/// copied out here; a snapshot is a momentary, not globally consistent,
-/// view.
+/// and copied out here; a snapshot is a momentary, not globally consistent,
+/// view. The optimistic counters are kept per thread, not per shard (the
+/// hit path writes no line another core writes), so only PoolStats::total
+/// carries them.
 struct PoolShardStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;   // frames whose previous page was displaced
   uint64_t flushes = 0;     // dirty images written through to disk
   uint64_t io_waits = 0;    // fetchers that slept behind another's I/O
-  uint64_t opt_hits = 0;       // optimistic copies that validated
+  uint64_t opt_hits = 0;       // optimistic page reads that validated
   uint64_t opt_fallbacks = 0;  // optimistic resolution/validation failures
   uint64_t mutex_acquires = 0;  // shard-mutex lock operations
 };
@@ -84,10 +86,10 @@ struct PoolStats {
 
 /// An unpinned, unlatched reference to a resident frame believed to hold
 /// one page, captured together with the frame's version word. Only usable
-/// through BufferPool::ReadConsistent / Revalidate, and only while the
-/// resolving thread is still inside the EpochGuard it resolved under: the
-/// epoch keeps the frame's bytes from being recycled mid-copy; the version
-/// word is what detects (at validate time) that the frame moved on.
+/// through BufferPool::InPlace / ReadConsistent / Revalidate, and only while
+/// the resolving thread is still inside the EpochGuard it resolved under:
+/// the epoch keeps the frame's bytes from being recycled mid-read; the
+/// version word is what detects (at validate time) that the frame moved on.
 class OptimisticPage {
  public:
   OptimisticPage() = default;
@@ -101,6 +103,20 @@ class OptimisticPage {
   const void* frame_ = nullptr;  // Frame*, opaque to callers
   uint64_t version_ = 0;
   PageId id_ = kInvalidPageId;
+};
+
+/// A span in which this thread reads frame bytes that an X holder may be
+/// writing (the optimistic read path, DESIGN.md §15). The loads race by
+/// design, and the version-word validate that follows decides whether they
+/// count, so ThreadSanitizer ignores this thread's plain reads inside the
+/// span; its writes, its atomics and every other thread stay checked.
+/// Does nothing without ThreadSanitizer.
+class RacyReadSpan {
+ public:
+  RacyReadSpan();
+  ~RacyReadSpan();
+  RacyReadSpan(const RacyReadSpan&) = delete;
+  RacyReadSpan& operator=(const RacyReadSpan&) = delete;
 };
 
 /// Fixed-capacity page cache, sharded for multicore scaling.
@@ -150,25 +166,28 @@ class BufferPool {
   /// — the caller falls back to FetchPage.
   bool FetchOptimistic(PageId id, OptimisticPage* out);
 
-  /// Copies the frame's kPageSize image into `dst` and validates the
-  /// version word. True iff `dst` now holds a consistent snapshot of page
-  /// `page.id()`; on false the bytes in `dst` are garbage and must be
-  /// discarded (retry or fall back). Must run inside the same EpochGuard
-  /// that resolved `page`.
-  bool ReadConsistent(const OptimisticPage& page, char* dst);
+  /// The frame's kPageSize bytes, to be searched where they lie. A writer
+  /// may change them under the reader at any time, so they may be read only
+  /// through a reader that is safe on a torn image (NodeView), inside a
+  /// RacyReadSpan, and nothing read may be returned, stored for a caller
+  /// or followed until Revalidate(page) succeeds. Must run inside the
+  /// EpochGuard that resolved `page`.
+  const char* InPlace(const OptimisticPage& page);
 
-  /// Ranged variant: copies only `[offset, offset+len)` of the page image.
-  /// Same contract; callers that need a single record (not a parseable
-  /// whole-page snapshot) should prefer this — the validate covers any
-  /// range, so there is no reason to pay for bytes that will not be read.
+  /// Copies `[offset, offset+len)` of the page image into `dst` and
+  /// validates the version word. True iff `dst` now holds those bytes of a
+  /// consistent state of page `page.id()`; on false they are garbage and
+  /// must be discarded (retry or fall back). Same epoch rule as InPlace.
   bool ReadConsistent(const OptimisticPage& page, char* dst, size_t offset,
                       size_t len);
 
-  /// Re-checks that the frame still carries the captured version. Used for
-  /// OLC version coupling during descents: revalidating a parent after
-  /// resolving its child proves the child pointer was still current when
-  /// the child was reached.
-  bool Revalidate(const OptimisticPage& page) const;
+  /// Validates everything read from `page` since it was resolved: true iff
+  /// the frame still carries the captured version, so no writer or
+  /// reclaimer overlapped the reads (counted as an optimistic hit, else as
+  /// a fallback). Also the OLC version coupling of a descent: revalidating
+  /// a parent after resolving its child proves the child pointer was still
+  /// current when the child was reached.
+  bool Revalidate(const OptimisticPage& page);
 
   /// Pins page `id` with a zeroed in-memory image (for freshly allocated
   /// pages whose on-disk bytes are stale). The caller formats and logs it.
@@ -248,8 +267,6 @@ class BufferPool {
     std::atomic<uint64_t> evictions{0};
     std::atomic<uint64_t> flushes{0};
     std::atomic<uint64_t> io_waits{0};
-    std::atomic<uint64_t> opt_hits{0};
-    std::atomic<uint64_t> opt_fallbacks{0};
     std::atomic<uint64_t> mutex_acquires{0};
     PoolShardStats Snapshot() const;
   };
@@ -331,6 +348,10 @@ class BufferPool {
   std::vector<std::unique_ptr<Frame>> frames_;
   std::vector<std::unique_ptr<Shard>> shards_;
   size_t shard_mask_ = 0;
+
+  // The optimistic path's counters, pool-wide and striped per thread.
+  StripedCounter opt_hits_;
+  StripedCounter opt_fallbacks_;
 };
 
 }  // namespace pitree

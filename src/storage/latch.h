@@ -114,7 +114,7 @@ class CAPABILITY("latch") Latch {
     const bool ok =
         !IsLocked(word) && vw_.load(std::memory_order_relaxed) == word;
 #endif
-    analysis::OnOptimisticValidated(ok);
+    analysis::OnOptimisticValidated(this, ok);
     return ok;
   }
 

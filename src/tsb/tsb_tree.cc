@@ -202,7 +202,7 @@ bool TsbTree::DecodeHistoryTerm(const Slice& v, HistoryTerm* term) {
   return true;
 }
 
-bool TsbTree::GetHistoryTerm(const NodeRef& node, HistoryTerm* term) {
+bool TsbTree::GetHistoryTerm(const NodeView& node, HistoryTerm* term) {
   bool found;
   int slot = node.FindSlot(kHistoryEntryKey, &found);
   if (!found) return false;
@@ -635,7 +635,7 @@ Status TsbTree::Erase(Transaction* txn, const Slice& key) {
 // Reads
 // ---------------------------------------------------------------------------
 
-Status TsbTree::ResolveInNode(const NodeRef& node, const Slice& key,
+Status TsbTree::ResolveInNode(const NodeView& node, const Slice& key,
                               const Slice& probe, TsbTime t,
                               std::string* value, PageId* next) {
   // Each node on the history chain holds, per key, the latest version at
@@ -664,7 +664,6 @@ Status TsbTree::ResolveInNode(const NodeRef& node, const Slice& key,
   if (hist.chained() && t <= hist.split_time) {
     // The requested time predates this node's directly contained
     // history: follow the history sibling pointer (Figure 1).
-    stats_.history_hops.fetch_add(1, std::memory_order_relaxed);
     *next = hist.page;
     return Status::OK();
   }
@@ -674,12 +673,21 @@ Status TsbTree::ResolveInNode(const NodeRef& node, const Slice& key,
 Status TsbTree::GetOptimistic(PiTree::OpCtx* op, const Slice& key, TsbTime t,
                               std::string* value) {
   const std::string probe = CompositeKey(key, t);
-  auto read = [&](const NodeRef& node, PageId, PageId* next) {
-    return ResolveInNode(node, key, probe, t, value, next);
+  // Hops count once the attempt that made them validated. A read on a
+  // page other than the last hop's target starts a new attempt.
+  uint64_t hops = 0;
+  PageId hop_target = kInvalidPageId;
+  auto read = [&](const NodeView& node, PageId page, PageId* next) {
+    if (page != hop_target) hops = 0;
+    Status s = ResolveInNode(node, key, probe, t, value, next);
+    hop_target = *next;
+    if (*next != kInvalidPageId) ++hops;
+    return s;
   };
   Status s = core_.GetOptimistic(op, CompositeKey(key, 0), read);
   if (!s.IsBusy()) {
-    stats_.optimistic_gets.fetch_add(1, std::memory_order_relaxed);
+    stats_.optimistic_gets.Add();
+    stats_.history_hops.Add(hops);
   }
   return s;
 }
@@ -742,6 +750,7 @@ Status TsbTree::ReadVersionInChain(PageHandle cur, const Slice& key,
       cur.latch().ReleaseS();
       return s;
     }
+    stats_.history_hops.Add();
     PageHandle hh;
     s = ctx_->pool->FetchPage(next, &hh);
     if (!s.ok()) {
@@ -876,7 +885,7 @@ Status TsbTree::ScanAsOf(const Slice& start, const Slice& end, TsbTime t,
         cur.latch().ReleaseS();
         return s;
       }
-      stats_.history_hops.fetch_add(1, std::memory_order_relaxed);
+      stats_.history_hops.Add();
       hh.latch().AcquireS();
       cur.latch().ReleaseS();
       cur = std::move(hh);
@@ -943,7 +952,7 @@ Status TsbTree::History(Transaction* txn, const Slice& key,
         cur.latch().ReleaseS();
         return s;
       }
-      stats_.history_hops.fetch_add(1, std::memory_order_relaxed);
+      stats_.history_hops.Add();
       hh.latch().AcquireS();
       cur.latch().ReleaseS();
       cur = std::move(hh);

@@ -7,6 +7,7 @@
 
 #include "common/slice.h"
 #include "common/status.h"
+#include "common/striped_counter.h"
 #include "common/types.h"
 #include "engine/engine_context.h"
 #include "pitree/node_page.h"
@@ -32,8 +33,8 @@ struct TsbStats {
   std::atomic<uint64_t> prunes{0};         // in-place prunes at the watermark
   std::atomic<uint64_t> chain_cuts{0};     // history pointers cut by a prune
   std::atomic<uint64_t> history_freed{0};  // history pages freed by cuts
-  std::atomic<uint64_t> history_hops{0};  // history sibling traversals
-  std::atomic<uint64_t> optimistic_gets{0};  // latch-free read successes
+  StripedCounter history_hops;     // history sibling traversals
+  StripedCounter optimistic_gets;  // latch-free read successes
 };
 
 /// One version returned by history queries.
@@ -188,7 +189,7 @@ class TsbTree {
 
   static std::string EncodeHistoryTerm(const HistoryTerm& term);
   static bool DecodeHistoryTerm(const Slice& v, HistoryTerm* term);
-  static bool GetHistoryTerm(const NodeRef& node, HistoryTerm* term);
+  static bool GetHistoryTerm(const NodeView& node, HistoryTerm* term);
 
   /// Logs the replacement of the node's history term (`prior` null: the
   /// node has none yet).
@@ -246,8 +247,8 @@ class TsbTree {
   /// Resolves `key` at time `t` in one node of its chain (`probe` is
   /// CompositeKey(key, t)): the answer, or, with `*next` set, the history
   /// node to continue in. SnapshotTooOld when `t` is below the node's prune
-  /// floor.
-  Status ResolveInNode(const NodeRef& node, const Slice& key,
+  /// floor. Counts nothing: the caller counts a hop once it is followed.
+  Status ResolveInNode(const NodeView& node, const Slice& key,
                        const Slice& probe, TsbTime t, std::string* value,
                        PageId* next);
 

@@ -19,6 +19,9 @@
 #include "common/mutex.h"
 #include "db/database.h"
 #include "env/sim_env.h"
+#include "pitree/node_page.h"
+#include "storage/buffer_pool.h"
+#include "storage/disk_manager.h"
 #include "storage/epoch.h"
 #include "storage/latch.h"
 #include "txn/lock_manager.h"
@@ -132,6 +135,33 @@ TEST_F(AnalysisDeathTest, BlockingAcquireInsideEpochSectionAborts) {
         Mutex mu{analysis::Rank::kPoolShard};
         EpochGuard g;
         mu.Lock();  // blocking acquire while the epoch section is open
+      }()),
+      "optimistic discipline violation");
+}
+
+// DESIGN.md §15 validate-before-use: frame bytes read in place must be
+// validated against the frame's version word before the epoch section
+// ends. Runtime twin of the analyzer's olc-deref rule
+// (tools/analyze/testdata/olc_deref.cc).
+TEST_F(AnalysisDeathTest, EpochSectionEndingWithUnvalidatedInPlaceReadAborts) {
+  // Braces do not protect commas from the preprocessor; the lambda does.
+  EXPECT_DEATH(
+      ([&] {
+        SimEnv env;
+        DiskManager disk;
+        if (!disk.Open(&env, "db").ok()) return;
+        BufferPool pool(&disk, 16, [](Lsn) { return Status::OK(); }, 1);
+        {
+          PageHandle h;
+          if (!pool.FetchPageZeroed(1, &h).ok()) return;
+          PageInitHeader(h.data(), 1, PageType::kTreeNode);
+        }
+        EpochGuard g;
+        OptimisticPage page;
+        if (!pool.FetchOptimistic(1, &page)) return;
+        NodeView node(pool.InPlace(page));
+        (void)node.entry_count();
+        // No Revalidate(page): the section ends on an unvalidated read.
       }()),
       "optimistic discipline violation");
 }

@@ -259,7 +259,7 @@ TEST_F(BufferPoolConcurrencyTest, OptimisticReadsVsWritersAndEvictionStorm) {
           if (g.active()) {
             OptimisticPage p;
             ok = pool.FetchOptimistic(id, &p) &&
-                 pool.ReadConsistent(p, buf.data());
+                 pool.ReadConsistent(p, buf.data(), 0, kPageSize);
           }
         }
         if (!ok) {

@@ -304,7 +304,7 @@ TEST_F(BufferPoolTest, OptimisticHitTakesNoMutexAndWritesNoLatchWord) {
       OptimisticPage p;
       ASSERT_TRUE(pool_->FetchOptimistic(3, &p));
       EXPECT_EQ(p.id(), 3u);
-      ASSERT_TRUE(pool_->ReadConsistent(p, buf.data()));
+      ASSERT_TRUE(pool_->ReadConsistent(p, buf.data(), 0, kPageSize));
       ASSERT_EQ(memcmp(buf.data() + kPageHeaderSize, "olc", 3), 0);
     }
   }
@@ -344,7 +344,7 @@ TEST_F(BufferPoolTest, EvictionInvalidatesOptimisticReferences) {
     EpochGuard g;
     ASSERT_TRUE(g.active());
     ASSERT_TRUE(pool_->FetchOptimistic(2, &p));
-    ASSERT_TRUE(pool_->ReadConsistent(p, buf.data()));
+    ASSERT_TRUE(pool_->ReadConsistent(p, buf.data(), 0, kPageSize));
   }
   // Outside any epoch, churn the 4-frame pool until page 2 is displaced.
   for (PageId id = 50; id < 58; ++id) {
@@ -355,7 +355,7 @@ TEST_F(BufferPoolTest, EvictionInvalidatesOptimisticReferences) {
     EpochGuard g;
     ASSERT_TRUE(g.active());
     EXPECT_FALSE(pool_->Revalidate(p));
-    EXPECT_FALSE(pool_->ReadConsistent(p, buf.data()));
+    EXPECT_FALSE(pool_->ReadConsistent(p, buf.data(), 0, kPageSize));
     // A fresh resolution must not hand back the stale identity either.
     OptimisticPage q;
     if (pool_->FetchOptimistic(2, &q)) {

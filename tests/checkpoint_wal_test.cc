@@ -519,7 +519,7 @@ TEST(ContinuousCheckpointTest, CheckpointerResumesAfterDeviceFaultClears) {
 
   // Every data-file sync fails from here on, so every checkpoint fails in
   // its sync phase; commits sync only the log and go on.
-  plan.FailNth(FaultOp::kSync, plan.op_count(FaultOp::kSync),
+  plan.FailNth(FaultOp::kSync, plan.op_count(FaultOp::kSync, "db.db"),
                Status::IOError("injected: data file sync"), /*sticky=*/true,
                "db.db");
   const Clock::time_point fault_end = Clock::now() + std::chrono::seconds(2);

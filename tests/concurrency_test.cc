@@ -353,6 +353,121 @@ TEST_P(ConcurrencyTest, ConcurrentDeletersAndConsolidation) {
   }
 }
 
+// Both read paths (DESIGN.md §15) must give committed answers while the
+// tree changes under their readers: inserts that split, deletes that empty
+// leaves for consolidation, updates, and a pool small enough that
+// evictions reuse frames under optimistic readers. Readers run with and
+// without transactions. Keys [0, kRange) are loaded and only updated,
+// [kRange, 2 * kRange) are loaded and then deleted, and
+// [2 * kRange, 3 * kRange) are inserted; every value encodes its key.
+class ReadPathStormTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(ReadPathStormTest, GetsSeeCommittedStateUnderStructureChanges) {
+  constexpr int kRange = 600;
+  const uint64_t seed = TestSeed(3030);
+  SCOPED_TRACE("repro: PITREE_TEST_SEED=" + std::to_string(seed));
+  SimEnv env;
+  Options opts;
+  opts.optimistic_reads = GetParam();
+  opts.buffer_pool_pages = 64;
+  opts.buffer_pool_shards = 2;
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(opts, &env, "db", &db).ok());
+  PiTree* tree = nullptr;
+  ASSERT_TRUE(db->CreateIndex("t", &tree).ok());
+  auto value_of = [](int k, int version) {
+    std::string v = Key(k) + ":" + std::to_string(version);
+    v.resize(200, '.');
+    return v;
+  };
+  for (int k = 0; k < 2 * kRange; ++k) {
+    Transaction* txn = db->Begin();
+    ASSERT_TRUE(tree->Insert(txn, Key(k), value_of(k, 0)).ok());
+    ASSERT_TRUE(db->Commit(txn).ok());
+  }
+  // Set once the write on key k has committed.
+  std::vector<std::atomic<bool>> committed(3 * kRange);
+  auto write = [&](int k, auto op) {
+    for (;;) {
+      Transaction* txn = db->Begin();
+      Status s = op(txn);
+      if (s.ok() && db->Commit(txn).ok()) break;
+      if (!s.ok()) (void)db->Abort(txn);
+      ASSERT_TRUE(s.IsDeadlock() || s.IsBusy()) << Key(k) << ": "
+                                                << s.ToString();
+    }
+    committed[k].store(true, std::memory_order_release);
+  };
+  std::atomic<int> writers_left{3};
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] {
+    for (int k = kRange; k < 2 * kRange; ++k) {
+      write(k, [&](Transaction* txn) { return tree->Delete(txn, Key(k)); });
+    }
+    writers_left.fetch_sub(1);
+  });
+  threads.emplace_back([&] {
+    for (int k = 2 * kRange; k < 3 * kRange; ++k) {
+      write(k, [&](Transaction* txn) {
+        return tree->Insert(txn, Key(k), value_of(k, 0));
+      });
+    }
+    writers_left.fetch_sub(1);
+  });
+  threads.emplace_back([&] {
+    Random rnd(seed);
+    for (int i = 1; i <= 3 * kRange; ++i) {
+      const int k = static_cast<int>(rnd.Uniform(kRange));
+      write(k, [&](Transaction* txn) {
+        return tree->Update(txn, Key(k), value_of(k, i));
+      });
+    }
+    writers_left.fetch_sub(1);
+  });
+  std::atomic<int> reads{0};
+  for (int r = 0; r < 3; ++r) {
+    threads.emplace_back([&, r] {
+      Random rnd(seed + 1 + r);
+      while (writers_left.load() > 0) {
+        const int k = static_cast<int>(rnd.Uniform(3 * kRange));
+        // Read before the Get: a write committed by then must show.
+        const bool done = committed[k].load(std::memory_order_acquire);
+        Transaction* txn = rnd.OneIn(2) ? db->Begin() : nullptr;
+        std::string v;
+        const Status s = tree->Get(txn, Key(k), &v);
+        if (txn != nullptr) {
+          ASSERT_TRUE(db->Commit(txn).ok());
+        }
+        ASSERT_TRUE(s.ok() || s.IsNotFound()) << Key(k) << ": "
+                                              << s.ToString();
+        if (s.ok()) {
+          ASSERT_EQ(v.compare(0, Key(k).size() + 1, Key(k) + ":"), 0)
+              << Key(k) << " read " << v;
+        }
+        if (k < kRange || (k >= 2 * kRange && done)) {
+          ASSERT_TRUE(s.ok()) << Key(k) << " is committed";
+        } else if (done) {
+          ASSERT_TRUE(s.IsNotFound()) << Key(k) << " was deleted";
+        }
+        reads.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_GT(reads.load(), 1000);
+  EXPECT_GT(db->pool_stats().total.evictions, 0u);
+  EXPECT_GT(tree->stats().splits.load(), 0u);
+  EXPECT_GT(tree->stats().consolidations_performed.load(), 0u);
+  EXPECT_EQ(tree->stats().optimistic_gets.load() > 0, GetParam());
+  std::string report;
+  ASSERT_TRUE(tree->CheckWellFormed(&report).ok()) << report;
+}
+
+INSTANTIATE_TEST_SUITE_P(ReadPaths, ReadPathStormTest, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Optimistic" : "Latched";
+                         });
+
 INSTANTIATE_TEST_SUITE_P(Regimes, ConcurrencyTest,
                          ::testing::ValuesIn(kRegimes),
                          [](const ::testing::TestParamInfo<Regime>& info) {

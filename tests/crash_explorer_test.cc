@@ -182,7 +182,7 @@ TEST(FaultInjectionTest, CommitSurfacesInjectedSyncError) {
   ASSERT_TRUE(db->Commit(txn).ok());
 
   // Next WAL sync dies, once.
-  plan.FailNth(FaultOp::kSync, plan.sync_points(),
+  plan.FailNth(FaultOp::kSync, plan.op_count(FaultOp::kSync, ".wal"),
                Status::IOError("injected: lost power during fsync"), false,
                ".wal");
 
@@ -274,7 +274,7 @@ TEST(FaultInjectionTest, TornWalTailAfterFailedSyncRecoversValidPrefix) {
     ASSERT_TRUE(tree->Insert(txn, "durable-key", "1").ok());
     ASSERT_TRUE(db->Commit(txn).ok());
 
-    plan.FailNth(FaultOp::kSync, plan.sync_points(),
+    plan.FailNth(FaultOp::kSync, plan.op_count(FaultOp::kSync, ".wal"),
                  Status::IOError("injected: lost power during fsync"), false,
                  ".wal");
     txn = db->Begin();

@@ -271,7 +271,7 @@ TEST(SimEnvTest, ErrorRulesOneShotStickyAndFileFiltered) {
   EXPECT_EQ(writes, 2u);
 
   // Sticky + file filter: "data-b" dies; "data-a" is untouched.
-  plan.FailNth(FaultOp::kSync, plan.sync_points(),
+  plan.FailNth(FaultOp::kSync, plan.op_count(FaultOp::kSync, "data-b"),
                Status::IOError("injected: dead disk"), /*sticky=*/true,
                "data-b");
   EXPECT_TRUE(fb->Sync().IsIOError());
@@ -289,6 +289,28 @@ TEST(SimEnvTest, ErrorRulesOneShotStickyAndFileFiltered) {
   Slice result;
   ASSERT_TRUE(fb->Read(0, 4, &result, buf).ok());
   EXPECT_EQ(result.ToString(), "late");
+}
+
+// A filtered rule numbers only the ops its filter matches, so a one-shot
+// rule on the next WAL sync fires even when a data-file sync comes first.
+TEST(SimEnvTest, FilteredRuleCountsOnlyMatchingOps) {
+  SimEnv env;
+  FaultPlan plan;
+  env.InstallFaultPlan(&plan);
+  std::unique_ptr<File> wal, data;
+  ASSERT_TRUE(env.OpenFile("wal-000001.wal", &wal).ok());
+  ASSERT_TRUE(env.OpenFile("db.db", &data).ok());
+  ASSERT_TRUE(wal->Sync().ok());
+  // The second WAL sync (index 1 among .wal syncs) fails, once.
+  plan.FailNth(FaultOp::kSync, 1, Status::IOError("injected: wal fsync"),
+               /*sticky=*/false, ".wal");
+  EXPECT_TRUE(data->Sync().ok());
+  EXPECT_TRUE(wal->Sync().IsIOError());
+  EXPECT_TRUE(wal->Sync().ok());
+  EXPECT_EQ(plan.op_count(FaultOp::kSync), 4u);
+  EXPECT_EQ(plan.op_count(FaultOp::kSync, ".wal"), 3u);
+  EXPECT_EQ(plan.op_count(FaultOp::kSync, "db.db"), 1u);
+  env.InstallFaultPlan(nullptr);
 }
 
 TEST(PosixEnvTest, RoundTripThroughRealFilesystem) {

@@ -4,10 +4,12 @@
 // everything else is built on: sorted order, exact content, capacity
 // accounting across compaction, and redo determinism (the same payloads
 // applied to a fresh page reproduce the same image — the property crash
-// recovery relies on).
+// recovery relies on), and the read side's safety on torn images.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -219,6 +221,108 @@ TEST_P(NodePageProperty, SplitPartitionsExactly) {
   }
   for (const auto& e : moved) rebuilt[e.key] = e.value;
   EXPECT_EQ(rebuilt, model);
+}
+
+// The optimistic descent (DESIGN.md §15) searches frames that a writer may
+// be changing. NodeView must keep every read inside the page and end every
+// search, whatever the image: random bytes, a valid page with one field
+// corrupted, or a page torn between two valid images. It then either
+// clears ok() (the reader retries) or answers from inside the page, and
+// the frame's validation rejects that answer. Each image sits alone in a
+// kPageSize heap buffer, so the ASan build also reports a read past it;
+// frames share one arena in the pool, with no redzone between them.
+TEST_P(NodePageProperty, TornImagesStayInsideThePage) {
+  const uint64_t seed = TestSeed(0x70A2);
+  SCOPED_TRACE("repro: PITREE_TEST_SEED=" + std::to_string(seed));
+  Random rnd(seed);
+  ASSERT_TRUE(
+      node_.ApplySetMeta(NodeRef::MetaPayload(0, 0, 0, "a", "zz", 5)).ok());
+  std::vector<std::string> keys;
+  auto churn = [&](int steps) {
+    for (int i = 0; i < steps; ++i) {
+      std::string k = RandomKey(&rnd);
+      std::string v = RandomValue(&rnd);
+      bool found = false;
+      node_.FindSlot(k, &found);
+      if (found && rnd.OneIn(2)) {
+        ASSERT_TRUE(node_.ApplyDelete(NodeRef::DeletePayload(k)).ok());
+      } else if (!found && node_.CanFit(k.size(), v.size())) {
+        ASSERT_TRUE(node_.ApplyInsert(NodeRef::InsertPayload(k, v)).ok());
+        keys.push_back(k);
+      }
+    }
+  };
+  churn(300);
+  const std::string a(buf_.get(), kPageSize);
+  churn(300);
+  const std::string b(buf_.get(), kPageSize);
+  for (const std::string* valid : {&a, &b}) {
+    std::unique_ptr<char[]> img(new char[kPageSize]);
+    memcpy(img.get(), valid->data(), kPageSize);
+    NodeView v(img.get());
+    for (int i = 1; i < v.entry_count(); ++i) {
+      EXPECT_LT(v.EntryKey(i - 1).compare(v.EntryKey(i)), 0);
+    }
+    EXPECT_TRUE(v.ok());
+  }
+
+  for (int iter = 0; iter < 3000; ++iter) {
+    std::unique_ptr<char[]> img(new char[kPageSize]);
+    char* p = img.get();
+    const std::string& base = rnd.OneIn(2) ? a : b;
+    const std::string& other = &base == &a ? b : a;
+    memcpy(p, base.data(), kPageSize);
+    if (iter % 3 == 0) {
+      for (size_t i = 0; i < kPageSize; ++i) {
+        p[i] = static_cast<char>(rnd.Uniform(256));
+      }
+    } else if (iter % 3 == 1) {
+      // One field: nslots, a slot's offset, a cell's key or value length
+      // varint, or a bound's offset or length.
+      const NodeView v(base.data());
+      const int slot =
+          static_cast<int>(rnd.Uniform(std::max<int>(1, v.entry_count())));
+      const size_t cell = static_cast<size_t>(
+          v.EntryKey(slot).data() - base.data()) - 1;  // klen varint
+      const size_t fields[] = {18,
+                               40 + 4 * static_cast<size_t>(slot),
+                               cell,
+                               cell + 1 + v.EntryKey(slot).size(),
+                               28, 30, 32, 34};
+      const size_t at = fields[rnd.Uniform(8)];
+      p[at] = static_cast<char>(rnd.Uniform(256) | (rnd.OneIn(2) ? 0x80 : 0));
+      p[at + 1] = static_cast<char>(rnd.Uniform(256));
+    } else {
+      // A writer mid-copy: each 64-byte run from either image.
+      for (size_t off = 0; off < kPageSize; off += 64) {
+        if (rnd.OneIn(2)) memcpy(p + off, other.data() + off, 64);
+      }
+    }
+    NodeView v(p);
+    auto inside = [&](const Slice& s) {
+      return s.empty() || (s.data() >= p && s.data() + s.size() <= p + kPageSize);
+    };
+    for (int probe = 0; probe < 8; ++probe) {
+      const std::string key =
+          rnd.OneIn(2) ? keys[rnd.Uniform(keys.size())] : RandomKey(&rnd);
+      (void)v.AtOrAboveLow(key);
+      (void)v.BelowHigh(key);
+      bool found = false;
+      const int slot = v.FindSlot(key, &found);
+      ASSERT_GE(slot, 0);
+      ASSERT_LE(slot, static_cast<int>(NodeView::kMaxSlots));
+      const int child = v.FindChildSlot(key);
+      ASSERT_GE(child, -1);
+      ASSERT_LT(child, static_cast<int>(NodeView::kMaxSlots));
+      if (child >= 0) {
+        EXPECT_TRUE(inside(v.EntryKey(child)));
+        EXPECT_TRUE(inside(v.EntryValue(child)));
+      }
+    }
+    EXPECT_TRUE(inside(v.low_key()));
+    EXPECT_TRUE(inside(v.high_key()));
+    (void)v.UsedCellBytes();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Profiles, NodePageProperty,

@@ -18,7 +18,6 @@
 #include <thread>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -519,8 +518,7 @@ TEST_F(RecoveryTest, AtomicActionLoserCountsAreReported) {
 }
 
 /// Watches the page file of the wrapped env: records which threads read
-/// it and, once armed, fails its reads after a given number, like a device
-/// that dies partway through a restart. Everything else passes through.
+/// it. Everything else passes through.
 class PageFileEnv : public Env {
  public:
   explicit PageFileEnv(Env* base) : base_(base) {}
@@ -559,12 +557,6 @@ class PageFileEnv : public Env {
     return readers_;
   }
 
-  /// Every page-file read after the next `n` fails; nullopt heals it.
-  void FailReadsAfter(std::optional<uint64_t> n) {
-    std::lock_guard<std::mutex> lk(mu_);
-    failing_after_ = n;
-    reads_since_armed_ = 0;
-  }
 
  private:
   class RecordingFile : public File {
@@ -576,10 +568,6 @@ class PageFileEnv : public Env {
       {
         std::lock_guard<std::mutex> lk(env_->mu_);
         env_->readers_.insert(std::this_thread::get_id());
-        if (env_->failing_after_.has_value() &&
-            env_->reads_since_armed_++ >= *env_->failing_after_) {
-          return Status::IOError("injected: page read");
-        }
       }
       return inner_->Read(offset, n, result, scratch);
     }
@@ -598,8 +586,6 @@ class PageFileEnv : public Env {
   Env* const base_;
   mutable std::mutex mu_;
   std::set<std::thread::id> readers_;
-  std::optional<uint64_t> failing_after_;
-  uint64_t reads_since_armed_ = 0;
 };
 
 // Redo leans on the LSN state identifier (§5.2): a page's records may be
@@ -640,17 +626,19 @@ TEST_F(RecoveryTest, RedoResumedAfterFailedOpenMatchesCleanRecovery) {
   ASSERT_GT(clean_stats.records_redone, 0u);
 
   // The page file fails for good after 64 reads; the log reads normally.
-  PageFileEnv device(&image);
-  device.FailReadsAfter(64);
+  FaultPlan plan;
+  plan.FailNth(FaultOp::kRead, 64, Status::IOError("injected: page read"),
+               /*sticky=*/true, "db.db");
+  opts.fault_plan = &plan;
   {
     std::unique_ptr<Database> db;
-    Status s = Database::Open(opts, &device, "db", &db);
+    Status s = Database::Open(opts, &image, "db", &db);
     ASSERT_TRUE(s.IsIOError()) << s.ToString();
   }
-  device.FailReadsAfter(std::nullopt);
+  plan.ClearErrorRules();
   RecoveryStats stats;
   std::unique_ptr<Database> resumed;
-  ASSERT_TRUE(Database::Open(opts, &device, "db", &resumed, &stats).ok());
+  ASSERT_TRUE(Database::Open(opts, &image, "db", &resumed, &stats).ok());
   EXPECT_LT(stats.records_redone, clean_stats.records_redone)
       << "no replayed page reached the data file before the fault";
 
@@ -672,6 +660,8 @@ TEST_F(RecoveryTest, RedoResumedAfterFailedOpenMatchesCleanRecovery) {
     ASSERT_TRUE(resumed->context()->pool->FetchPage(page, &b).ok());
     ASSERT_EQ(memcmp(a.data(), b.data(), kPageSize), 0) << "page " << page;
   }
+  resumed.reset();
+  image.InstallFaultPlan(nullptr);
 }
 
 // A fuzzy checkpoint races writers: an update to an already-dirty page can

@@ -31,10 +31,12 @@ Rule families (finding ids in brackets):
                 leaks a naked Mutex::Lock(), in a function *not* marked as
                 an intentional cross-function span (`lint:tsa-escape`).
                 Catches the error path that forgets a release.
-  [olc-deref]   A frame-byte deref inside an optimistic window
-                (OptimisticBegin / FetchOptimistic) with no covering
-                Validate/ReadConsistent/Revalidate — directly or via a
-                callee that validates.
+  [olc-deref]   Validate-before-use (DESIGN.md §15): frame bytes are
+                read only through the checked reader, `NodeView v(...
+                InPlace(page))`, never by a raw `.data()` deref inside an
+                optimistic window; and a `return`, a second in-place read
+                or the end of the epoch section before a Validate/
+                Revalidate (direct, or in a callee) covers the read.
 
 Suppressions use the registered `analyze:` markers (tools/lint/markers.py)
 on the finding line or the line directly above; every marker carries a
@@ -259,10 +261,14 @@ _PAT = [
         r'\b(?:Validate|ReadConsistent|Revalidate)\s*\(')),
     ('olc_deref', re.compile(
         r'(?:\.\s*data\s*\(\)|->\s*data\s*\(\)|\bdata\s*\.\s*get\s*\(\))')),
+    ('olc_read', re.compile(r'\bInPlace\s*\(')),
     ('ret', re.compile(r'\breturn\b')),
     ('call', re.compile(
         r'((?:\w+(?:\.|->))?)(?:(\w+)::)?([A-Za-z_]\w*)\s*\(')),
 ]
+
+# The checked reader: an in-place read must construct a NodeView directly.
+_CHECKED_READER = re.compile(r'\bNodeView\s+\w+\s*\(\s*[\w.>-]*$')
 
 # Guard types a callee can receive by reference: Lock/Unlock on such a
 # parameter manages the *caller's* hold, not a leak in the callee.
@@ -296,7 +302,8 @@ def scan_body(fn, lines, file_ranks, markers, sig_text=''):
             if name in _KEYWORDS:
                 continue
             events.append((m.start(), 'call', m))
-        events.sort(key=lambda t: t[0])
+        # A `return` takes effect after the expression it returns.
+        events.sort(key=lambda t: (t[1] == 'ret', t[0]))
         for _, kind, m in events:
             if kind == 'brace':
                 fn.emit(lineno, 'open' if m.group(0) == '{' else 'close')
@@ -359,6 +366,9 @@ def scan_body(fn, lines, file_ranks, markers, sig_text=''):
                 fn.emit(lineno, 'olc_validate')
             elif kind == 'olc_deref':
                 fn.emit(lineno, 'olc_deref')
+            elif kind == 'olc_read':
+                fn.emit(lineno, 'olc_read', checked=bool(
+                    _CHECKED_READER.search(line[:m.start()])))
             elif kind == 'ret':
                 fn.emit(lineno, 'ret')
             elif kind == 'call':
@@ -496,10 +506,10 @@ def _ast_render(node, out, state):
         out.append((state.get('line', line), '}'))
         return
     if kind == 'ReturnStmt':
-        out.append((line, 'return'))
+        # As in the lexer frontend, a return takes effect after its value.
         for ch in node.get('inner', []):
             _ast_render(ch, out, state)
-        out.append((line, ';'))
+        out.append((line, 'return;'))
         return
     if kind == 'VarDecl':
         typ = node.get('type', {}).get('qualType', '')
@@ -519,6 +529,13 @@ def _ast_render(node, out, state):
             return
         if base == 'EpochGuard':
             out.append((line, f'EpochGuard {name};'))
+            return
+        if base == 'NodeView':  # the checked reader wraps its source
+            sub = []
+            for ch in node.get('inner', []):
+                _ast_render(ch, sub, state)
+            out.append((line, f'NodeView {name}(' +
+                        ' '.join(t for _, t in sub) + ')'))
             return
     if kind == 'CXXMemberCallExpr':
         inner = node.get('inner', [])
@@ -726,8 +743,6 @@ def check_function(fn, sums, by_name, markers):
             return
         seen.add((line, rule, msg))
         ok, reason = marker_at(markers, line, _SUPPRESS[rule])
-        if not ok and rule == 'olc-deref':
-            ok, reason = marker_at(markers, line, 'lint:olc-validated')
         findings.append(Finding(fn.path, line, rule, fn.qualname, msg,
                                 suppressed=ok, reason=reason))
 
@@ -737,6 +752,13 @@ def check_function(fn, sums, by_name, markers):
     latches = []                  # multiset of held latch ranks
     epoch = 0
     olc_open = 0
+    olc_read = 0                  # line of an in-place read awaiting validate
+
+    def check_read_validated(line, what):
+        if olc_read:
+            report(line, 'olc-deref',
+                   f'{what} while the in-place read at line {olc_read} '
+                   f'awaits a Validate/Revalidate (validate-before-use)')
 
     def held_ranks():
         rs = [r for r, h in guards.values() if h and r]
@@ -777,6 +799,8 @@ def check_function(fn, sums, by_name, markers):
                         guards[key][1] = False
                     elif kind == 'epoch':
                         epoch = max(0, epoch - 1)
+                        check_read_validated(line, 'epoch section ends')
+                        olc_read = 0
         elif op == 'guard':
             check_epoch(line, 'blocking mutex acquire')
             check_rank(line, data['rank'], f'guard on {data["target"]}')
@@ -824,7 +848,15 @@ def check_function(fn, sums, by_name, markers):
         elif op == 'olc_begin':
             olc_open = line
         elif op == 'olc_validate':
-            olc_open = 0
+            olc_open = olc_read = 0
+        elif op == 'olc_read':
+            if not data['checked']:
+                report(line, 'olc-deref',
+                       'in-place frame bytes not handed straight to the '
+                       'checked reader (NodeView v(...InPlace(page)))')
+            check_read_validated(line, 'another in-place read (a pointer '
+                                 'followed)')
+            olc_read = line
         elif op == 'olc_deref':
             if olc_open:
                 report(line, 'olc-deref',
@@ -832,6 +864,7 @@ def check_function(fn, sums, by_name, markers):
                        f'opened at line {olc_open} with no covering '
                        f'Validate')
         elif op == 'ret':
+            check_read_validated(line, 'return')
             if not fn.escaped:
                 if latches:
                     report(line, 'unbalanced',
@@ -862,7 +895,7 @@ def check_function(fn, sums, by_name, markers):
             for r in sorted(ranks):
                 check_rank(line, r, f'via call to {data["name"]}()')
             if any(sums[id(c)].validates for c in cs):
-                olc_open = 0
+                olc_open = olc_read = 0
     return findings
 
 
@@ -1066,6 +1099,19 @@ _EMBEDDED = [
           if (!CopyOut(l, w, out)) return false;
           return out.data()[0] != 0;
         }'''}, []),
+    ('olc-deref quiet: in-place read validated before use', {
+        'n.cc': '''Slice Good(BufferPool* pool, OptimisticPage& page) {
+          EpochGuard epoch;
+          NodeView leaf(pool->InPlace(page));
+          const Slice v = leaf.EntryValue(0);
+          return pool->Revalidate(page) ? v : Slice();
+        }'''}, []),
+    ("olc-deref fires: a slot's value returned before Revalidate", {
+        'o.cc': '''Slice Bad(BufferPool* pool, OptimisticPage& page) {
+          EpochGuard epoch;
+          NodeView leaf(pool->InPlace(page));
+          return leaf.EntryValue(0);
+        }'''}, [('olc-deref', 4), ('olc-deref', 5)]),
 ]
 
 

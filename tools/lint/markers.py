@@ -34,10 +34,6 @@ MARKERS = {
         doc='This mutex deliberately spans storage I/O (slow-path '
             'serialization such as checkpoint/truncate); exempts the '
             'mutex-across-io rule for the guard declared here.'),
-    'lint:olc-validated': dict(
-        tool='lint', scope='site', reason_required=True, value_required=False,
-        doc='This frame-byte deref is the optimistic copy loop itself; the '
-            'copy is validated before use (DESIGN.md §15).'),
     'lint:tsa-escape': dict(
         tool='lint', scope='site', reason_required=True, value_required=False,
         doc='The function below carries NO_THREAD_SAFETY_ANALYSIS: its latch '

@@ -190,55 +190,6 @@ def check_naked_latch(path, text):
 
 
 # ---------------------------------------------------------------------------
-# Rule: olc-validated
-# ---------------------------------------------------------------------------
-
-_OLC_OPEN = re.compile(r'\b(?:OptimisticBegin|FetchOptimistic)\s*\(')
-_OLC_CLOSE = re.compile(r'\b(?:Validate|ReadConsistent|Revalidate)\s*\(')
-_OLC_DEREF = re.compile(
-    r'(?:\.\s*data\s*\(\)|->\s*data\s*\(\)|\bdata\s*\.\s*get\s*\(\))')
-_OLC_MARKER = re.compile(r'lint:olc-validated\s*--\s*\S')
-
-
-def check_olc_validated(path, text):
-    """Raw frame-byte deref inside an optimistic window (DESIGN.md §15).
-
-    Between an OptimisticBegin/FetchOptimistic and the Validate /
-    ReadConsistent / Revalidate that covers it, frame bytes may be mid-write
-    (seqlock): they may only be *copied*, and the copy used only after the
-    validate. A `.data()`/`->data()`/`data.get()` deref inside that window
-    is the tear-prone pattern; the one legitimate case (the copy loop
-    itself) carries a `lint:olc-validated -- <reason>` marker on the line
-    or the line directly above.
-    """
-    findings = []
-    allowed = {lineno
-               for lineno, line in enumerate(text.splitlines(), start=1)
-               if _OLC_MARKER.search(line)}
-    window_open = 0  # line that opened the current optimistic window
-    depth = 0
-    for lineno, line in strip_code_lines(text):
-        if window_open and _OLC_DEREF.search(line) \
-                and lineno not in allowed and (lineno - 1) not in allowed:
-            findings.append(Finding(
-                path, lineno, 'olc-validated',
-                f'raw frame-byte deref inside the optimistic window opened '
-                f'at line {window_open}: bytes may be torn until a '
-                f'Validate/ReadConsistent covers them; copy-then-validate, '
-                f'or mark the copy `lint:olc-validated -- <reason>`'))
-        if window_open and _OLC_CLOSE.search(line):
-            window_open = 0
-        if _OLC_OPEN.search(line):
-            window_open = lineno
-        depth += line.count('{') - line.count('}')
-        if depth <= 0:
-            # Back at file scope: a window never outlives the function that
-            # opened it (OptimisticPage references are epoch-scoped).
-            window_open = 0
-    return findings
-
-
-# ---------------------------------------------------------------------------
 # Rule: ignored-status
 # ---------------------------------------------------------------------------
 
@@ -356,7 +307,6 @@ def lint_file(path, rel):
     if under_src and str(rel).endswith('.cc'):
         findings += check_mutex_across_io(rel, text)
         findings += check_naked_latch(rel, text)
-        findings += check_olc_validated(rel, text)
     if under_src:
         findings += check_tsa_escape_audit(rel, text)
     findings += check_ignored_status(rel, text)
@@ -434,39 +384,6 @@ _SELF_TESTS = [
      '''// lint:allow-naked-latch -- seeded self-test
      void Descend(PageHandle& h) {
        h.latch().AcquireS();
-     }''', 0),
-    ('olc-validated fires on a raw deref inside the window',
-     check_olc_validated,
-     '''bool ReadBad(BufferPool& pool, PageId id, char* out) {
-       OptimisticPage page;
-       if (!pool.FetchOptimistic(id, &page)) return false;
-       out[0] = frame.data.get()[0];
-       return pool.Revalidate(page);
-     }''', 1),
-    ('olc-validated quiet with a marker on the line above',
-     check_olc_validated,
-     '''bool ReadMarked(BufferPool& pool, PageId id, char* out) {
-       OptimisticPage page;
-       if (!pool.FetchOptimistic(id, &page)) return false;
-       // lint:olc-validated -- seeded self-test
-       memcpy(out, frame.data.get(), kPageSize);
-       return pool.Revalidate(page);
-     }''', 0),
-    ('olc-validated quiet once the copy is validated',
-     check_olc_validated,
-     '''bool ReadGood(BufferPool& pool, PageId id, char* out) {
-       OptimisticPage page;
-       if (!pool.FetchOptimistic(id, &page)) return false;
-       if (!pool.ReadConsistent(page, out)) return false;
-       return out.data()[0] != 0;
-     }''', 0),
-    ('olc-validated quiet in the next function after the window',
-     check_olc_validated,
-     '''uint64_t Begin(Latch& l) {
-       return l.OptimisticBegin();
-     }
-     char First(PageHandle& h) {
-       return h.data()[0];
      }''', 0),
     ('ignored-status fires on a bare .ok() statement',
      check_ignored_status,
